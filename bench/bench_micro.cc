@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the building blocks whose costs
-// drive the figure-level results: SHA-256, Merkle tree construction,
-// B+-tree insert/seek/bulk-load, MB-tree build/prove/verify, bitmap AND,
-// block encode/decode and single-transaction random decode.
+// drive the figure-level results: SHA-256 (both kernels), Merkle tree
+// construction, B+-tree insert/seek/bulk-load, MB-tree build/prove/verify,
+// bitmap AND, block encode/decode and single-transaction random decode.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -11,6 +11,7 @@
 #include "common/bitmap.h"
 #include "common/random.h"
 #include "common/sha256.h"
+#include "common/sha256_internal.h"
 #include "index/bptree.h"
 #include "storage/block.h"
 #include "storage/merkle_tree.h"
@@ -18,6 +19,7 @@
 namespace sebdb {
 namespace {
 
+// SHA-256 through the kernel this CPU selects (SHA-NI where present).
 void BM_Sha256(benchmark::State& state) {
   std::string data(state.range(0), 'x');
   for (auto _ : state) {
@@ -25,7 +27,31 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(300)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(300)->Arg(4096)->Arg(1 << 20);
+
+// The portable fallback kernel on the same inputs, so both kernels show on
+// one host.
+void BM_Sha256Portable(benchmark::State& state) {
+  std::string data(state.range(0), 'x');
+  for (auto _ : state) {
+    Sha256 ctx(sha256_internal::CompressPortable);
+    ctx.Update(data);
+    benchmark::DoNotOptimize(ctx.Finish());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(300)->Arg(4096)->Arg(1 << 20);
+
+// One Merkle / MB-tree interior node: the digest of two child digests.
+void BM_Sha256Pair(benchmark::State& state) {
+  Hash256 left = Sha256::Digest(Slice("left"));
+  const Hash256 right = Sha256::Digest(Slice("right"));
+  for (auto _ : state) {
+    left = Sha256::DigestPair(left, right);
+    benchmark::DoNotOptimize(left);
+  }
+}
+BENCHMARK(BM_Sha256Pair);
 
 void BM_MerkleTreeBuild(benchmark::State& state) {
   std::vector<Hash256> leaves;

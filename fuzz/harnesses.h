@@ -13,6 +13,9 @@
 //   - MB-tree verification-object decode + range verification (query proofs)
 //   - checkpoint page images + manifest records (index persistence files)
 //   - TCP wire frames (every byte an accepted socket delivers)
+//
+// Plus one differential harness under all of them: the dispatched SHA-256
+// kernel against the portable one, at a fuzzed Update split point.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +31,7 @@ int FuzzSqlParser(const uint8_t* data, size_t size);
 int FuzzVoVerify(const uint8_t* data, size_t size);
 int FuzzPageDecode(const uint8_t* data, size_t size);
 int FuzzTcpFrame(const uint8_t* data, size_t size);
+int FuzzSha256(const uint8_t* data, size_t size);
 
 }  // namespace fuzz
 }  // namespace sebdb

@@ -304,6 +304,25 @@ void PageSeeds(const std::string& dir) {
   }
 }
 
+// Two little-endian split bytes, then the message (see fuzz_sha256.cc).
+std::string Sha256Seed(uint16_t split, const std::string& message) {
+  std::string bytes;
+  PutFixed16(&bytes, split);
+  return bytes + message;
+}
+
+void Sha256Seeds(const std::string& dir) {
+  WriteFile(dir, "empty", Sha256Seed(0, ""));
+  // Padding boundaries: the length field fits up to 55 bytes, then spills.
+  WriteFile(dir, "len55_split20", Sha256Seed(20, std::string(55, 'a')));
+  WriteFile(dir, "len56_split56", Sha256Seed(56, std::string(56, 'b')));
+  WriteFile(dir, "len64_split32", Sha256Seed(32, std::string(64, 'c')));
+  WriteFile(dir, "len119_split63", Sha256Seed(63, std::string(119, 'd')));
+  std::string multi_block;
+  for (int i = 0; i < 1000; i++) multi_block.push_back(static_cast<char>(i));
+  WriteFile(dir, "len1000_split333", Sha256Seed(333, multi_block));
+}
+
 }  // namespace
 }  // namespace sebdb
 
@@ -325,6 +344,7 @@ int main(int argc, char** argv) {
       {"vo_verify", sebdb::VoSeeds},
       {"page_decode", sebdb::PageSeeds},
       {"tcp_frame", sebdb::TcpFrameSeeds},
+      {"sha256", sebdb::Sha256Seeds},
   };
   for (const auto& set : kSets) {
     const std::string dir = root + "/" + set.name;

@@ -14,7 +14,10 @@
 #          — errors must be propagated or explicitly handled;
 #        - no *_clock::now() outside common/clock.* — time flows through
 #          NowMicros/SteadyNowMicros so tests and the lint can reason
-#          about it in one place.
+#          about it in one place;
+#        - no <*intrin.h> header or _mm_* intrinsic outside
+#          src/common/sha256.cc — ISA-specific code stays in the one
+#          runtime-dispatched kernel.
 #   2. clang-tidy (bugprone-*, concurrency-*, performance-*; see .clang-tidy)
 #      over every translation unit in src/, using the build dir's
 #      compile_commands.json. Skipped with a notice when clang-tidy is not
@@ -121,6 +124,18 @@ direct_ingest=$(grep -rnE '(\.|->)(AddBlock|MergeTxnDeltas)\(' \
   | grep -vE '^src/(index|auth)/|^src/sql/index_set\.(h|cc):' || true)
 if [ -n "${direct_ingest}" ]; then
   fail "direct index ingestion outside the apply scheduler without a \"serial-apply:\" marker (route blocks through TxnScheduler::Apply):" "${direct_ingest}"
+fi
+
+# ISA-specific code stays in one file: SIMD intrinsics and their headers
+# belong only to the SHA-256 kernels in src/common/sha256.cc, which compile
+# them with target attributes and pick them at runtime from CPUID. Anywhere
+# else they would either break the baseline-ISA build or run unchecked on a
+# CPU without the extension.
+intrinsics=$(grep -rnE '#include <[a-z0-9]*intrin\.h>|\b_mm(256|512)?_[a-z0-9_]+\(' \
+  src/ tests/ bench/ fuzz/ tools/ examples/ perfbench/ --include='*.h' --include='*.cc' \
+  | grep -v '^src/common/sha256\.cc:' || true)
+if [ -n "${intrinsics}" ]; then
+  fail "SIMD intrinsic or intrinsics header outside src/common/sha256.cc (keep ISA-specific code in the runtime-dispatched kernel):" "${intrinsics}"
 fi
 
 if [ "${failed}" -eq 0 ]; then

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -38,7 +39,15 @@ struct Hash256 {
 /// Incremental SHA-256 context.
 class Sha256 {
  public:
-  Sha256() { Reset(); }
+  /// A compression kernel: folds `nblocks` consecutive 64-byte blocks into
+  /// the eight-word chaining state. Every kernel yields the same digests.
+  using Kernel = void (*)(uint32_t state[8], const uint8_t* data,
+                          size_t nblocks);
+
+  /// Hashes with the fastest kernel this CPU supports.
+  Sha256();
+  /// Hashes with the given kernel (see common/sha256_internal.h).
+  explicit Sha256(Kernel kernel) : kernel_(kernel) { Reset(); }
 
   void Reset();
   void Update(const void* data, size_t len);
@@ -51,8 +60,7 @@ class Sha256 {
   static Hash256 DigestPair(const Hash256& a, const Hash256& b);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
+  Kernel kernel_;
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

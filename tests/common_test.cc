@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -12,6 +14,7 @@
 #include "common/lru_cache.h"
 #include "common/random.h"
 #include "common/sha256.h"
+#include "common/sha256_internal.h"
 #include "common/slice.h"
 #include "common/status.h"
 
@@ -165,6 +168,103 @@ TEST(Sha256Test, KnownVectors) {
           Slice("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
           .ToHex(),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+// The kernels this host can run, by name: the portable one always, SHA-NI
+// where the CPU has it.
+std::vector<std::pair<std::string, Sha256::Kernel>> HostKernels() {
+  std::vector<std::pair<std::string, Sha256::Kernel>> kernels = {
+      {"portable", sha256_internal::CompressPortable}};
+  if (Sha256::Kernel sha_ni = sha256_internal::ShaNiKernel()) {
+    kernels.emplace_back("sha-ni", sha_ni);
+  }
+  return kernels;
+}
+
+std::string HexDigest(Sha256::Kernel kernel, const std::string& data) {
+  Sha256 ctx(kernel);
+  ctx.Update(data.data(), data.size());
+  return ctx.Finish().ToHex();
+}
+
+// The two long FIPS 180-4 vectors: the 896-bit two-block message and one
+// million 'a', on every kernel and through the default context.
+TEST(Sha256Test, LongKnownVectors) {
+  const std::string two_block =
+      "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+      "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+  const std::string million_a(1000000, 'a');
+  const char* kTwoBlock =
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1";
+  const char* kMillionA =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  EXPECT_EQ(Sha256::Digest(two_block).ToHex(), kTwoBlock);
+  EXPECT_EQ(Sha256::Digest(million_a).ToHex(), kMillionA);
+  for (const auto& [name, kernel] : HostKernels()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(HexDigest(kernel, two_block), kTwoBlock);
+    EXPECT_EQ(HexDigest(kernel, million_a), kMillionA);
+  }
+}
+
+// Lengths around the padding boundary: up to 55 bytes the length field fits
+// in the last block, from 56 on it spills into an extra one.
+TEST(Sha256Test, PaddingBoundaries) {
+  const std::pair<size_t, const char*> kVectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+  };
+  for (const auto& [len, hex] : kVectors) {
+    SCOPED_TRACE(len);
+    const std::string data(len, 'a');
+    EXPECT_EQ(Sha256::Digest(data).ToHex(), hex);
+    for (const auto& [name, kernel] : HostKernels()) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(HexDigest(kernel, data), hex);
+    }
+  }
+}
+
+TEST(Sha256Test, DefaultContextUsesActiveKernel) {
+  Sha256::Kernel sha_ni = sha256_internal::ShaNiKernel();
+  EXPECT_EQ(sha256_internal::ActiveKernel(),
+            sha_ni != nullptr ? sha_ni : sha256_internal::CompressPortable);
+}
+
+// Differential test of the two kernels, called directly: random inputs of
+// every length 0..4096, each fed to the SHA-NI context in one Update and to
+// the portable one in two at a random split point.
+TEST(Sha256Test, ShaNiMatchesPortable) {
+  Sha256::Kernel sha_ni = sha256_internal::ShaNiKernel();
+  if (sha_ni == nullptr) GTEST_SKIP() << "CPU has no SHA-NI";
+  Random rng(180);
+  for (size_t len = 0; len <= 4096; len++) {
+    std::string data(len, '\0');
+    for (char& c : data) c = static_cast<char>(rng.Next());
+    const size_t split = rng.Uniform(len + 1);
+    SCOPED_TRACE(testing::Message() << "len " << len << " split " << split);
+    Sha256 portable(sha256_internal::CompressPortable);
+    portable.Update(data.data(), split);
+    portable.Update(data.data() + split, len - split);
+    Sha256 fast(sha_ni);
+    fast.Update(data.data(), len);
+    ASSERT_EQ(portable.Finish(), fast.Finish());
+  }
+  // Multi-block runs straight into the kernels, from a random state.
+  for (size_t nblocks = 1; nblocks <= 16; nblocks++) {
+    std::string data(64 * nblocks, '\0');
+    for (char& c : data) c = static_cast<char>(rng.Next());
+    uint32_t a[8], b[8];
+    for (int i = 0; i < 8; i++) a[i] = b[i] = static_cast<uint32_t>(rng.Next());
+    const auto* bytes = reinterpret_cast<const uint8_t*>(data.data());
+    sha256_internal::CompressPortable(a, bytes, nblocks);
+    sha_ni(b, bytes, nblocks);
+    ASSERT_EQ(std::vector<uint32_t>(a, a + 8), std::vector<uint32_t>(b, b + 8))
+        << nblocks << " blocks";
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {

@@ -97,6 +97,8 @@ TEST(FuzzCorpusTest, TcpFrame) {
   ReplayCorpus("tcp_frame", fuzz::FuzzTcpFrame);
 }
 
+TEST(FuzzCorpusTest, Sha256) { ReplayCorpus("sha256", fuzz::FuzzSha256); }
+
 // Every TCP frame seed is a valid frame: the strict decoder must accept it
 // and round-trip it byte-exactly (the reject-or-round-trip contract's
 // accept half, pinned on the checked-in corpus itself; the harness pins it

@@ -198,12 +198,14 @@ TEST(TcpNetworkTest, PeerWatcherSeesDownOnShutdownAndUpOnRestart) {
   ASSERT_TRUE(server->Start().ok());
   const uint16_t port = server->listen_port();
 
+  // Declared before the client: its destructor still reports the peer
+  // going down, so the watcher's state must outlive it.
+  Mutex mu;
+  std::vector<std::pair<std::string, bool>> events;
+
   TcpNetworkOptions client_opts = Pair::Opts("client");
   client_opts.peers.push_back(TcpPeer{"server", "127.0.0.1", port});
   TcpNetwork client(client_opts);
-
-  Mutex mu;
-  std::vector<std::pair<std::string, bool>> events;
   client.AddPeerWatcher([&](const std::string& peer, bool up) {
     MutexLock lock(&mu);
     events.push_back({peer, up});
