@@ -17,7 +17,10 @@
 #          about it in one place;
 #        - no <*intrin.h> header or _mm_* intrinsic outside
 #          src/common/sha256.cc — ISA-specific code stays in the one
-#          runtime-dispatched kernel.
+#          runtime-dispatched kernel;
+#        - no cast to KafkaOrderer* / TendermintEngine* outside
+#          src/consensus/ — engines are reached only through the
+#          ConsensusEngine interface.
 #   2. clang-tidy (bugprone-*, concurrency-*, performance-*; see .clang-tidy)
 #      over every translation unit in src/, using the build dir's
 #      compile_commands.json. Skipped with a notice when clang-tidy is not
@@ -136,6 +139,18 @@ intrinsics=$(grep -rnE '#include <[a-z0-9]*intrin\.h>|\b_mm(256|512)?_[a-z0-9_]+
   | grep -v '^src/common/sha256\.cc:' || true)
 if [ -n "${intrinsics}" ]; then
   fail "SIMD intrinsic or intrinsics header outside src/common/sha256.cc (keep ISA-specific code in the runtime-dispatched kernel):" "${intrinsics}"
+fi
+
+# Engines are reached only through the ConsensusEngine interface: the node
+# hands every consensus message to ConsensusEngine::HandleMessage, and each
+# engine ignores the types it does not own. A downcast to a concrete engine
+# trusts something (a message prefix, a config value) to name the engine
+# that is actually running, which a remote peer controls.
+engine_downcasts=$(grep -rnE '(static|dynamic|reinterpret)_cast<[[:space:]]*(const[[:space:]]+)?(KafkaOrderer|TendermintEngine)[[:space:]]*\*' \
+  src/ tests/ bench/ fuzz/ tools/ examples/ perfbench/ --include='*.h' --include='*.cc' --include='*.cpp' \
+  | grep -v '^src/consensus/' || true)
+if [ -n "${engine_downcasts}" ]; then
+  fail "cast to a concrete consensus engine outside src/consensus/ (call it through ConsensusEngine):" "${engine_downcasts}"
 fi
 
 if [ "${failed}" -eq 0 ]; then

@@ -1,6 +1,6 @@
 // Pluggable consensus (paper §III-B: "SEBDB uses plug-in pattern, allowing
 // users to select different consensus protocol"; the evaluation runs KAFKA
-// and Tendermint, and PBFT is supported). An engine ingests client
+// and Tendermint, the two engines provided here). An engine ingests client
 // transactions, agrees on an order, cuts batches (by size or timeout — the
 // write benchmark sets 200 transactions / 200 ms), and delivers committed
 // batches to the node in strict sequence order. The node turns each batch
@@ -14,6 +14,7 @@
 
 #include "common/admission.h"
 #include "common/status.h"
+#include "network/message.h"
 #include "types/transaction.h"
 
 namespace sebdb {
@@ -63,6 +64,12 @@ class ConsensusEngine {
   /// benchmark's closed-loop clients wait for.
   virtual Status Submit(Transaction txn, std::function<void(Status)> done) = 0;
 
+  /// Handles one network message addressed to this node. The node hands the
+  /// engine every message that is not gossip, repair or RPC traffic, so an
+  /// engine must ignore any type it does not own (a peer may send another
+  /// engine's frames); the node never downcasts to a concrete engine.
+  virtual void HandleMessage(const Message& message) = 0;
+
   /// Batches delivered so far on this node.
   virtual uint64_t committed_batches() const = 0;
 
@@ -81,7 +88,8 @@ class ConsensusEngine {
 /// Wire helpers shared by the engines.
 void EncodeBatch(const std::vector<Transaction>& txns, std::string* dst);
 Status DecodeBatch(Slice* input, std::vector<Transaction>* out);
-/// Content digest used by PBFT/Tendermint votes.
+/// Content digest of an encoded batch: Tendermint votes on it, and the node
+/// signs it as the block packager.
 Hash256 BatchDigest(const std::string& encoded_batch);
 
 }  // namespace sebdb

@@ -35,8 +35,8 @@ class KafkaOrderer : public ConsensusEngine {
   MempoolStats mempool_stats() const override;
   void OnExternalCommit(const std::vector<Transaction>& txns) override;
 
-  /// Routes "kafka.*" messages; wire into the node's network handler.
-  void HandleMessage(const Message& message);
+  /// Routes "kafka.*" messages and ignores every other type.
+  void HandleMessage(const Message& message) override;
 
   bool is_broker() const { return node_id_ == broker_id_; }
 

@@ -111,24 +111,30 @@ Status TendermintEngine::Submit(Transaction txn,
   std::string key = TxnKey(txn);
   std::string payload;
   txn.EncodeTo(&payload);
-  Status admit = admission_.Admit(key, txn.sender(), payload.size());
-  if (!admit.ok()) {
-    if (done) done(admit);
-    return admit;
-  }
+  Status admit;  // stays OK for an already-committed key
+  bool already_committed = false;
   {
     MutexLock lock(&mu_);
-    if (!running_) {
-      admission_.Release(key);
-      return Status::Aborted("engine not running");
+    if (!running_) return Status::Aborted("engine not running");
+    // Resubmission of an already-committed txn (a caller that timed out and
+    // retried) is acked at once: it committed exactly once.
+    already_committed = committed_keys_.contains(key);
+    if (!already_committed) {
+      admit = admission_.Admit(key, txn.sender(), payload.size());
     }
-    if (done) done_[key] = std::move(done);
-    if (!mempool_keys_.contains(key)) {
-      if (mempool_.empty()) first_mempool_micros_ = NowMicros();
-      mempool_keys_.insert(key);
-      mempool_.push_back(std::move(txn));  // admitted: charged above
+    if (!already_committed && admit.ok()) {
+      if (done) done_[key] = std::move(done);
+      if (!mempool_keys_.contains(key)) {
+        if (mempool_.empty()) first_mempool_micros_ = NowMicros();
+        mempool_keys_.insert(key);
+        mempool_.push_back(std::move(txn));  // admitted: charged above
+      }
+      MaybeProposeLocked();
     }
-    MaybeProposeLocked();
+  }
+  if (already_committed || !admit.ok()) {
+    if (done) done(admit);
+    return admit;
   }
   BroadcastToReplicas(kTxType, payload);
   return Status::OK();
@@ -148,14 +154,12 @@ void TendermintEngine::OnTx(const Message& message) {
   // Serial CheckTx on gossiped transactions too.
   SerialWork(1);
   std::string key = TxnKey(txn);
+  MutexLock lock(&mu_);
+  // A late gossip of a committed txn must not order it a second time.
+  if (!running_ || committed_keys_.contains(key)) return;
   // Shedding a gossiped txn is safe: it stays in the origin's mempool and
   // commits through the origin's proposals.
   if (!admission_.Admit(key, txn.sender(), message.payload.size()).ok()) {
-    return;
-  }
-  MutexLock lock(&mu_);
-  if (!running_) {
-    admission_.Release(key);
     return;
   }
   if (mempool_keys_.contains(key)) return;
@@ -313,6 +317,7 @@ void TendermintEngine::MaybeCommitLocked() {
     std::string key = TxnKey(txn);
     admission_.Release(key);
     mempool_keys_.erase(key);
+    committed_keys_.insert(key);
     auto done_it = done_.find(key);
     if (done_it != done_.end()) {
       if (done_it->second) to_fire.push_back(std::move(done_it->second));
@@ -382,6 +387,7 @@ void TendermintEngine::OnExternalCommit(const std::vector<Transaction>& txns) {
       std::string key = TxnKey(txn);
       admission_.Release(key);
       swept |= mempool_keys_.erase(key) > 0;
+      committed_keys_.insert(key);
       auto done_it = done_.find(key);
       if (done_it != done_.end()) {
         if (done_it->second) to_fire.push_back(std::move(done_it->second));

@@ -51,7 +51,8 @@ class TendermintEngine : public ConsensusEngine {
   MempoolStats mempool_stats() const override;
   void OnExternalCommit(const std::vector<Transaction>& txns) override;
 
-  void HandleMessage(const Message& message);
+  /// Routes "tm.*" messages and ignores every other type.
+  void HandleMessage(const Message& message) override;
 
   uint64_t height() const;
 
@@ -109,6 +110,9 @@ class TendermintEngine : public ConsensusEngine {
   std::deque<Transaction> mempool_ GUARDED_BY(mu_);
   std::unordered_set<std::string> mempool_keys_ GUARDED_BY(mu_);
   int64_t first_mempool_micros_ GUARDED_BY(mu_) = 0;
+  // Keys this node saw commit, through delivery or an external commit:
+  // keeps commits exactly-once against resubmissions and late gossip.
+  std::unordered_set<std::string> committed_keys_ GUARDED_BY(mu_);
 
   uint64_t committed_batches_ GUARDED_BY(mu_) = 0;
   std::unordered_map<std::string, std::function<void(Status)>> done_

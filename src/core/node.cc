@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "consensus/kafka_orderer.h"
-#include "consensus/pbft.h"
 #include "consensus/tendermint.h"
 #include "common/coding.h"
 #include "core/thin_client_transport.h"
@@ -177,11 +176,6 @@ Status SebdbNode::Start(Network* network) {
             consensus_options, commit);
         break;
       }
-      case ConsensusKind::kPbft:
-        engine_ = std::make_unique<PbftEngine>(
-            options_.node_id, options_.participants, network_,
-            consensus_options, commit);
-        break;
       case ConsensusKind::kTendermint:
         engine_ = std::make_unique<TendermintEngine>(
             options_.node_id, options_.participants, network_,
@@ -347,14 +341,9 @@ void SebdbNode::OnMessage(const Message& message) {
     rpc_dispatcher_.HandleMessage(network_, options_.node_id, message);
     return;
   }
-  if (engine_ == nullptr) return;
-  if (message.type.rfind("kafka.", 0) == 0) {
-    static_cast<KafkaOrderer*>(engine_.get())->HandleMessage(message);
-  } else if (message.type.rfind("pbft.", 0) == 0) {
-    static_cast<PbftEngine*>(engine_.get())->HandleMessage(message);
-  } else if (message.type.rfind("tm.", 0) == 0) {
-    static_cast<TendermintEngine*>(engine_.get())->HandleMessage(message);
-  }
+  // Everything else is consensus traffic. The running engine ignores types
+  // it does not own, so a peer's frames for another engine are dropped.
+  if (engine_ != nullptr) engine_->HandleMessage(message);
 }
 
 void SebdbNode::OnBatchCommitted(uint64_t seq,

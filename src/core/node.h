@@ -24,7 +24,7 @@
 
 namespace sebdb {
 
-enum class ConsensusKind { kKafka, kPbft, kTendermint };
+enum class ConsensusKind { kKafka, kTendermint };
 
 /// Chain options a full node defaults to (tests construct ChainOptions
 /// directly and opt in per-feature): LRU caches on, and the process-wide

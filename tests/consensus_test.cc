@@ -1,5 +1,6 @@
-// Tests for the consensus engines: Kafka-style ordering, PBFT (including a
-// view change under primary failure) and the Tendermint-style engine.
+// Tests for the consensus engines: Kafka-style ordering and the
+// Tendermint-style engine (including round rotation under proposer failure
+// and a forged proposal from a non-proposer).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +9,6 @@
 
 #include "common/coding.h"
 #include "consensus/kafka_orderer.h"
-#include "consensus/pbft.h"
 #include "consensus/tendermint.h"
 #include "network/sim_network.h"
 #include "tests/test_util.h"
@@ -167,18 +167,17 @@ TEST(KafkaOrdererTest, ValidatorRejectsBadTransactions) {
   engine.Stop();
 }
 
-template <typename Engine, typename... Extra>
-std::vector<std::unique_ptr<NodeHarness<Engine>>> StartCluster(
+std::vector<std::unique_ptr<NodeHarness<TendermintEngine>>> StartCluster(
     SimNetwork* net, const std::vector<std::string>& ids,
-    const ConsensusOptions& options, Extra... extra) {
-  std::vector<std::unique_ptr<NodeHarness<Engine>>> nodes;
+    const ConsensusOptions& options, const TendermintOptions& tm_options) {
+  std::vector<std::unique_ptr<NodeHarness<TendermintEngine>>> nodes;
   for (const auto& id : ids) {
-    auto h = std::make_unique<NodeHarness<Engine>>();
+    auto h = std::make_unique<NodeHarness<TendermintEngine>>();
     h->net = net;
     h->id = id;
-    h->engine = std::make_unique<Engine>(id, ids, net, options,
-                                         h->log.MakeFn(), extra...);
-    Engine* engine = h->engine.get();
+    h->engine = std::make_unique<TendermintEngine>(
+        id, ids, net, options, h->log.MakeFn(), tm_options);
+    TendermintEngine* engine = h->engine.get();
     EXPECT_TRUE(
         net->Register(id,
                       [engine](const Message& m) { engine->HandleMessage(m); })
@@ -189,74 +188,12 @@ std::vector<std::unique_ptr<NodeHarness<Engine>>> StartCluster(
   return nodes;
 }
 
-TEST(PbftTest, CommitsAcrossFourReplicas) {
-  SimNetwork net;
-  std::vector<std::string> ids = {"r0", "r1", "r2", "r3"};
-  auto nodes = StartCluster<PbftEngine>(&net, ids, FastOptions());
-  EXPECT_EQ(nodes[0]->engine->max_faulty(), 1);
-  EXPECT_TRUE(nodes[0]->engine->is_primary());
-
-  std::atomic<int> acks{0};
-  for (int i = 0; i < 30; i++) {
-    ASSERT_TRUE(nodes[i % 4]
-                    ->engine
-                    ->Submit(MakeTxn("t", "c", 100 + i, {Value::Int(i)}),
-                             [&](Status s) {
-                               if (s.ok()) acks++;
-                             })
-                    .ok());
-  }
-  for (auto& node : nodes) EXPECT_TRUE(node->log.WaitForTxns(30));
-  auto reference = nodes[0]->log.txns();
-  for (auto& node : nodes) {
-    auto txns = node->log.txns();
-    ASSERT_EQ(txns.size(), reference.size());
-    for (size_t i = 0; i < txns.size(); i++) EXPECT_EQ(txns[i], reference[i]);
-  }
-  for (auto& node : nodes) node->engine->Stop();
-}
-
-TEST(PbftTest, ViewChangeOnPrimaryFailure) {
-  SimNetwork net;
-  std::vector<std::string> ids = {"r0", "r1", "r2", "r3"};
-  PbftOptions pbft_options;
-  pbft_options.view_timeout_millis = 200;
-  auto nodes =
-      StartCluster<PbftEngine>(&net, ids, FastOptions(), pbft_options);
-
-  // Isolate the primary r0 before it sees anything.
-  for (const auto& other : {"r1", "r2", "r3"}) {
-    net.SetLinkDown("r0", other, true);
-  }
-  std::atomic<int> acks{0};
-  for (int i = 0; i < 5; i++) {
-    ASSERT_TRUE(nodes[1]
-                    ->engine
-                    ->Submit(MakeTxn("t", "c", 100 + i, {Value::Int(i)}),
-                             [&](Status s) {
-                               if (s.ok()) acks++;
-                             })
-                    .ok());
-  }
-  // Replicas r1..r3 should time out, move to view 1 (primary r1) and commit.
-  for (int i = 1; i < 4; i++) {
-    EXPECT_TRUE(nodes[i]->log.WaitForTxns(5, 15000)) << "replica " << i;
-    EXPECT_GE(nodes[i]->engine->view(), 1u);
-  }
-  for (int i = 0; i < 200 && acks.load() < 5; i++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(acks.load(), 5);
-  for (auto& node : nodes) node->engine->Stop();
-}
-
 TEST(TendermintTest, CommitsAcrossFourValidators) {
   SimNetwork net;
   std::vector<std::string> ids = {"v0", "v1", "v2", "v3"};
   TendermintOptions tm_options;
   tm_options.serial_txn_cost_micros = 0;  // keep the test fast
-  auto nodes =
-      StartCluster<TendermintEngine>(&net, ids, FastOptions(), tm_options);
+  auto nodes = StartCluster(&net, ids, FastOptions(), tm_options);
 
   std::atomic<int> acks{0};
   for (int i = 0; i < 20; i++) {
@@ -284,8 +221,7 @@ TEST(TendermintTest, SerialCostSlowsDelivery) {
   std::vector<std::string> ids = {"v0", "v1", "v2", "v3"};
   TendermintOptions tm_options;
   tm_options.serial_txn_cost_micros = 100;
-  auto nodes =
-      StartCluster<TendermintEngine>(&net, ids, FastOptions(), tm_options);
+  auto nodes = StartCluster(&net, ids, FastOptions(), tm_options);
   ASSERT_TRUE(nodes[0]
                   ->engine
                   ->Submit(MakeTxn("t", "c", 5, {Value::Int(1)}), nullptr)
@@ -300,8 +236,7 @@ TEST(TendermintTest, ProposerFailureRotatesRound) {
   TendermintOptions tm_options;
   tm_options.serial_txn_cost_micros = 0;
   tm_options.propose_timeout_millis = 200;
-  auto nodes =
-      StartCluster<TendermintEngine>(&net, ids, FastOptions(), tm_options);
+  auto nodes = StartCluster(&net, ids, FastOptions(), tm_options);
 
   // Height 0's proposer is v0; isolate it so the round times out and the
   // next proposer (v1 at round 1) takes over.
@@ -328,23 +263,26 @@ TEST(TendermintTest, ProposerFailureRotatesRound) {
   for (auto& node : nodes) node->engine->Stop();
 }
 
-TEST(PbftTest, RejectsPrePrepareFromNonPrimary) {
+TEST(TendermintTest, RejectsProposalFromNonProposer) {
   SimNetwork net;
-  std::vector<std::string> ids = {"r0", "r1", "r2", "r3"};
-  auto nodes = StartCluster<PbftEngine>(&net, ids, FastOptions());
+  std::vector<std::string> ids = {"v0", "v1", "v2", "v3"};
+  TendermintOptions tm_options;
+  tm_options.serial_txn_cost_micros = 0;
+  auto nodes = StartCluster(&net, ids, FastOptions(), tm_options);
 
-  // A Byzantine backup (r2) forges a pre-prepare; honest replicas must
-  // ignore it (only the view's primary proposes).
+  // A Byzantine validator (v2) forges a proposal for height 0, round 0,
+  // whose proposer is v0; honest validators must ignore it (only the
+  // round's proposer proposes).
   std::vector<Transaction> forged_batch = {
       MakeTxn("t", "mallory", 1, {Value::Int(666)})};
   std::string batch_payload;
   EncodeBatch(forged_batch, &batch_payload);
   std::string payload;
-  PutVarint64(&payload, 0);  // view 0
-  PutVarint64(&payload, 0);  // seq 0
+  PutVarint64(&payload, 0);  // height 0
+  PutVarint32(&payload, 0);  // round 0
   PutLengthPrefixed(&payload, batch_payload);
-  for (const auto& target : {"r1", "r3"}) {
-    net.Send({"pbft.preprepare", "r2", target, payload});
+  for (const auto& target : {"v0", "v1", "v3"}) {
+    net.Send({"tm.proposal", "v2", target, payload});
   }
   net.DrainAll();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -352,16 +290,14 @@ TEST(PbftTest, RejectsPrePrepareFromNonPrimary) {
     EXPECT_EQ(node->engine->committed_batches(), 0u);
   }
 
-  // The cluster still works for legitimate requests afterwards.
-  std::atomic<int> acks{0};
-  ASSERT_TRUE(nodes[0]
-                  ->engine
-                  ->Submit(MakeTxn("t", "c", 5, {Value::Int(1)}),
-                           [&](Status s) {
-                             if (s.ok()) acks++;
-                           })
-                  .ok());
-  for (auto& node : nodes) EXPECT_TRUE(node->log.WaitForTxns(1));
+  // The cluster still works for legitimate requests afterwards, and only
+  // the legitimate txn commits.
+  Transaction legit = MakeTxn("t", "c", 5, {Value::Int(1)});
+  ASSERT_TRUE(nodes[0]->engine->Submit(legit, nullptr).ok());
+  for (auto& node : nodes) {
+    ASSERT_TRUE(node->log.WaitForTxns(1));
+    EXPECT_EQ(node->log.txns().front(), legit);
+  }
   for (auto& node : nodes) node->engine->Stop();
 }
 

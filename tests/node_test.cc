@@ -1,11 +1,17 @@
 // Full-node integration tests: a 4-node cluster over the simulated network
 // running SQL writes through consensus, gossip replication to an observer,
-// the thin-client authenticated protocol, access control and stored
-// procedures.
+// the thin-client authenticated protocol, access control, stored
+// procedures, and nodes ignoring another engine's consensus frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <thread>
 
+#include "common/coding.h"
 #include "core/node.h"
 #include "core/procedure.h"
 #include "core/thin_client.h"
@@ -357,9 +363,9 @@ TEST_F(ClusterTest, StoredProcedureDonationFlow) {
                   .IsInvalidArgument());
 }
 
-TEST_F(ClusterTest, PbftClusterEndToEnd) {
-  // A second cluster on the same network, running PBFT.
-  std::vector<std::string> ids = {"p0", "p1", "p2", "p3"};
+TEST_F(ClusterTest, TendermintClusterEndToEnd) {
+  // A second cluster on the same network, running Tendermint.
+  std::vector<std::string> ids = {"v0", "v1", "v2", "v3"};
   for (const auto& id : ids) {
     ASSERT_TRUE(keystore_.AddIdentity(id, "secret-" + id).ok());
   }
@@ -368,7 +374,7 @@ TEST_F(ClusterTest, PbftClusterEndToEnd) {
     NodeOptions options;
     options.node_id = id;
     options.data_dir = dir_->path() + "/" + id;
-    options.consensus = ConsensusKind::kPbft;
+    options.consensus = ConsensusKind::kTendermint;
     options.participants = ids;
     options.consensus_options.max_batch_txns = 2;
     options.consensus_options.batch_timeout_millis = 20;
@@ -379,7 +385,7 @@ TEST_F(ClusterTest, PbftClusterEndToEnd) {
   }
   ResultSet rs;
   ASSERT_TRUE(cluster[0]->ExecuteSql("CREATE t (v int)", {}, &rs).ok());
-  // p1 applies the CREATE block at its own pace; wait until its catalog
+  // v1 applies the CREATE block at its own pace; wait until its catalog
   // knows the table before submitting from it.
   ASSERT_TRUE(WaitForHeight(cluster[1].get(), 2));
   ASSERT_TRUE(
@@ -391,6 +397,95 @@ TEST_F(ClusterTest, PbftClusterEndToEnd) {
   ASSERT_TRUE(cluster[3]->ExecuteSql("SELECT * FROM t", {}, &result).ok());
   EXPECT_EQ(result.num_rows(), 1u);
   for (auto& node : cluster) node->Stop();
+}
+
+TEST(ForeignFrameTest, EnginesIgnoreOtherEnginesFrames) {
+  // Any peer may send any allowlisted consensus frame to any node. The node
+  // hands every consensus frame to its running engine, which must drop the
+  // types it does not own: a Kafka node ignores tm.* frames and a Tendermint
+  // node ignores kafka.* frames.
+  ScratchDir dir("foreign");
+  SimNetwork net;
+  KeyStore keystore;
+  std::vector<std::unique_ptr<SebdbNode>> nodes;
+  for (const auto& [id, kind] :
+       {std::pair{"k0", ConsensusKind::kKafka},
+        std::pair{"t0", ConsensusKind::kTendermint}}) {
+    ASSERT_TRUE(keystore.AddIdentity(id, std::string("secret-") + id).ok());
+    NodeOptions options;
+    options.node_id = id;
+    options.data_dir = dir.path() + "/" + id;
+    options.consensus = kind;
+    options.participants = {id};
+    options.consensus_options.batch_timeout_millis = 20;
+    // A quiet network, so DrainAll returns once the foreign frames ran.
+    options.enable_gossip = false;
+    options.enable_repair = false;
+    auto node = std::make_unique<SebdbNode>(options, &keystore, nullptr);
+    ASSERT_TRUE(node->Start(&net).ok()) << id;
+    ResultSet rs;
+    ASSERT_TRUE(node->ExecuteSql("CREATE t (v int)", {}, &rs).ok()) << id;
+    ASSERT_TRUE(node->ExecuteSql("INSERT INTO t VALUES (1)", {}, &rs).ok())
+        << id;
+    nodes.push_back(std::move(node));
+  }
+  std::vector<uint64_t> heights;
+  std::vector<Hash256> tips;
+  for (auto& node : nodes) {
+    heights.push_back(node->chain().height());
+    tips.push_back(node->chain().tip_hash());
+  }
+
+  // Well-formed frames carrying a validly signed insert, each aimed at the
+  // receiver's next sequence so a misrouted frame would extend its chain.
+  Transaction txn;
+  ASSERT_TRUE(
+      nodes[0]->MakeInsertTransaction("k0", "t", {Value::Int(2)}, &txn).ok());
+  std::vector<Transaction> batch = {txn};
+  std::string txn_payload;
+  txn.EncodeTo(&txn_payload);
+  std::string batch_payload;
+  EncodeBatch(batch, &batch_payload);
+
+  std::string proposal;
+  PutVarint64(&proposal, heights[0] - 1);  // height (next batch sequence)
+  PutVarint32(&proposal, 0);               // round
+  PutLengthPrefixed(&proposal, batch_payload);
+  net.Send({"tm.tx", "t0", "k0", txn_payload});
+  net.Send({"tm.proposal", "t0", "k0", proposal});
+
+  std::string deliver;
+  PutVarint64(&deliver, heights[1] - 1);  // batch sequence
+  deliver.append(batch_payload);
+  net.Send({"kafka.submit", "k0", "t0", txn_payload});
+  net.Send({"kafka.deliver", "k0", "t0", deliver});
+
+  // A handler wedged on a foreign frame would hang teardown (stopping a node
+  // joins its message thread) and with it the ctest run, so the wait has a
+  // deadline that fails the test binary instead.
+  std::promise<void> drained;
+  std::thread drainer([&] {
+    net.DrainAll();
+    drained.set_value();
+  });
+  if (drained.get_future().wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "FAILED: foreign consensus frames still running "
+                         "after 30 s\n");
+    std::_Exit(1);
+  }
+  drainer.join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  for (size_t i = 0; i < nodes.size(); i++) {
+    SebdbNode* node = nodes[i].get();
+    EXPECT_EQ(node->chain().height(), heights[i]) << node->node_id();
+    EXPECT_EQ(node->chain().tip_hash(), tips[i]) << node->node_id();
+    ResultSet result;
+    ASSERT_TRUE(node->ExecuteSql("SELECT * FROM t", {}, &result).ok());
+    EXPECT_EQ(result.num_rows(), 1u) << node->node_id();
+  }
+  for (auto& node : nodes) node->Stop();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Overload-protection tests: AdmissionController semantics (caps, dedup,
 // quotas, the overload-state machine) and end-to-end shed-then-resubmit
-// behavior across all three consensus engines — a shed transaction, once
+// behavior across both consensus engines — a shed transaction, once
 // resubmitted after load drains, commits exactly once.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "common/admission.h"
 #include "consensus/kafka_orderer.h"
-#include "consensus/pbft.h"
 #include "consensus/tendermint.h"
 #include "network/sim_network.h"
 #include "tests/test_util.h"
@@ -231,8 +230,7 @@ ConsensusOptions TinyMempoolOptions() {
 // Engines also fire the callback on synchronous shedding (with the same
 // status Submit returns); those verdicts are filtered out so `done` only
 // sees the post-admission outcome.
-template <typename Engine>
-Status SubmitWithRetry(Engine* engine, const Transaction& txn,
+Status SubmitWithRetry(ConsensusEngine* engine, const Transaction& txn,
                        std::function<void(Status)> done, int attempts = 50) {
   Status s;
   for (int i = 0; i < attempts; i++) {
@@ -294,64 +292,22 @@ TEST(OverloadTest, TendermintShedThenResubmitCommitsOnce) {
   EXPECT_EQ(acked.load(), 1);
 }
 
-TEST(OverloadTest, PbftShedThenResubmitCommitsOnce) {
+TEST(OverloadTest, TendermintResubmitAfterCommitAcksImmediately) {
   SimNetwork net;
   std::vector<std::string> ids = {"n0", "n1", "n2", "n3"};
-  std::vector<std::unique_ptr<NodeHarness<PbftEngine>>> nodes;
-  for (const auto& id : ids) {
-    auto h = std::make_unique<NodeHarness<PbftEngine>>();
-    h->net = &net;
-    h->id = id;
-    h->engine = std::make_unique<PbftEngine>(id, ids, &net,
-                                             TinyMempoolOptions(),
-                                             h->log.MakeFn());
-    PbftEngine* engine = h->engine.get();
-    ASSERT_TRUE(net.Register(id, [engine](const Message& m) {
-                       engine->HandleMessage(m);
-                     }).ok());
-    ASSERT_TRUE(h->engine->Start().ok());
-    nodes.push_back(std::move(h));
-  }
-
-  // Submit through a non-primary origin.
-  Transaction a = MakeTxn("t", "client", 100, {Value::Int(1)});
-  Transaction b = MakeTxn("t", "client", 200, {Value::Int(2)});
-  ASSERT_TRUE(nodes[1]->engine->Submit(a, nullptr).ok());
-  Status shed = nodes[1]->engine->Submit(b, nullptr);
-  EXPECT_TRUE(shed.IsResourceExhausted());
-
-  std::atomic<int> acked{0};
-  ASSERT_TRUE(SubmitWithRetry(nodes[1]->engine.get(), b,
-                              [&](Status s) {
-                                EXPECT_TRUE(s.ok());
-                                acked++;
-                              })
-                  .ok());
-  for (auto& node : nodes) {
-    ASSERT_TRUE(node->log.WaitForTxns(2)) << node->id;
-    EXPECT_EQ(CountCommits(node->log, a), 1u) << node->id;
-    EXPECT_EQ(CountCommits(node->log, b), 1u) << node->id;
-  }
-  for (int i = 0; i < 500 && acked.load() < 1; i++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(acked.load(), 1);
-}
-
-TEST(OverloadTest, PbftResubmitAfterCommitAcksImmediately) {
-  SimNetwork net;
-  std::vector<std::string> ids = {"n0", "n1", "n2", "n3"};
-  std::vector<std::unique_ptr<NodeHarness<PbftEngine>>> nodes;
+  std::vector<std::unique_ptr<NodeHarness<TendermintEngine>>> nodes;
   ConsensusOptions options;
   options.max_batch_txns = 1;
   options.batch_timeout_millis = 20;
+  TendermintOptions tm;
+  tm.serial_txn_cost_micros = 0;
   for (const auto& id : ids) {
-    auto h = std::make_unique<NodeHarness<PbftEngine>>();
+    auto h = std::make_unique<NodeHarness<TendermintEngine>>();
     h->net = &net;
     h->id = id;
-    h->engine = std::make_unique<PbftEngine>(id, ids, &net, options,
-                                             h->log.MakeFn());
-    PbftEngine* engine = h->engine.get();
+    h->engine = std::make_unique<TendermintEngine>(id, ids, &net, options,
+                                                   h->log.MakeFn(), tm);
+    TendermintEngine* engine = h->engine.get();
     ASSERT_TRUE(net.Register(id, [engine](const Message& m) {
                        engine->HandleMessage(m);
                      }).ok());
@@ -374,10 +330,16 @@ TEST(OverloadTest, PbftResubmitAfterCommitAcksImmediately) {
                            })
                   .ok());
   EXPECT_EQ(acked.load(), 1);
+
+  // A late gossip of the committed txn (a delayed tm.tx) is dropped too.
+  std::string payload;
+  a.EncodeTo(&payload);
+  for (const auto& id : ids) net.Send({"tm.tx", "n1", id, payload});
   net.DrainAll();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   for (auto& node : nodes) {
     EXPECT_EQ(CountCommits(node->log, a), 1u) << node->id;
+    EXPECT_EQ(node->engine->mempool_stats().depth, 0u) << node->id;
   }
 }
 

@@ -119,6 +119,7 @@ TEST(FrameCodec, TypeAllowlist) {
   EXPECT_FALSE(IsAllowedMessageType(""));
   EXPECT_FALSE(IsAllowedMessageType("gossip."));  // prefix alone is not a type
   EXPECT_FALSE(IsAllowedMessageType("evil.inject"));
+  EXPECT_FALSE(IsAllowedMessageType("pbft.preprepare"));  // no such engine
   EXPECT_FALSE(IsAllowedMessageType("GOSSIP.DIGEST"));
   EXPECT_FALSE(IsAllowedMessageType("rpc.request\n"));
   EXPECT_FALSE(IsAllowedMessageType(std::string(65, 'a')));
