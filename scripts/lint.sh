@@ -20,7 +20,10 @@
 #          runtime-dispatched kernel;
 #        - no cast to KafkaOrderer* / TendermintEngine* outside
 #          src/consensus/ — engines are reached only through the
-#          ConsensusEngine interface.
+#          ConsensusEngine interface;
+#        - one executor pipeline: across src/sql/executor*, at most one
+#          ReadBlock call, one ReadTransaction call and one
+#          ParallelFor/ParallelForStatus call — the fetch stage's.
 #   2. clang-tidy (bugprone-*, concurrency-*, performance-*; see .clang-tidy)
 #      over every translation unit in src/, using the build dir's
 #      compile_commands.json. Skipped with a notice when clang-tidy is not
@@ -152,6 +155,20 @@ engine_downcasts=$(grep -rnE '(static|dynamic|reinterpret)_cast<[[:space:]]*(con
 if [ -n "${engine_downcasts}" ]; then
   fail "cast to a concrete consensus engine outside src/consensus/ (call it through ConsensusEngine):" "${engine_downcasts}"
 fi
+
+# One executor pipeline (DESIGN.md §8): every SELECT, TRACE and join reads
+# its candidate blocks through the fetch stage (src/sql/executor_internal.h),
+# which holds the executor's only whole-block read, its only positional
+# transaction read and its only fan-out. A second call of any of them is a
+# second pipeline.
+for call in ReadBlock ReadTransaction ParallelFor; do
+  pattern="${call}"
+  [ "${call}" = ParallelFor ] && pattern='ParallelFor(Status)?'
+  sites=$(grep -nE "\b${pattern}\(" src/sql/executor*.h src/sql/executor*.cc || true)
+  if [ "$(printf '%s' "${sites}" | grep -c .)" -gt 1 ]; then
+    fail "more than one ${call} call in src/sql/executor* (read blocks through the fetch stage: Executor::Fetch / FanOut / ReadTxns):" "${sites}"
+  fi
+done
 
 if [ "${failed}" -eq 0 ]; then
   note "lint: grep rules clean"

@@ -745,8 +745,9 @@ Status SebdbNode::AuthProveTrace(bool by_sender, const std::string& key,
   Value v = Value::Str(key);
   std::optional<Bitmap> window;
   if (window_start != nullptr && window_end != nullptr) {
-    window = chain_.indexes()->block_index().BlocksInWindow(*window_start,
-                                                            *window_end);
+    Status s = chain_.indexes()->block_index().BlocksInWindow(
+        *window_start, *window_end, &window.emplace());
+    if (!s.ok()) return s;
   }
   return ali->ProveRange(&v, &v, window.has_value() ? &*window : nullptr,
                          ali->num_blocks(), out);
@@ -768,8 +769,9 @@ Status SebdbNode::AuthDigestTrace(bool by_sender, const std::string& key,
   Value v = Value::Str(key);
   std::optional<Bitmap> window;
   if (window_start != nullptr && window_end != nullptr) {
-    window = chain_.indexes()->block_index().BlocksInWindow(*window_start,
-                                                            *window_end);
+    Status s = chain_.indexes()->block_index().BlocksInWindow(
+        *window_start, *window_end, &window.emplace());
+    if (!s.ok()) return s;
   }
   return ali->ComputeDigest(&v, &v, window.has_value() ? &*window : nullptr,
                             height, digest);

@@ -145,17 +145,16 @@ Status BlockIndex::FindFirstAtOrAfter(Timestamp ts,
   return Status::OK();
 }
 
-Bitmap BlockIndex::BlocksInWindow(Timestamp start, Timestamp end) const {
-  Bitmap result(num_blocks());
-  if (end < start) return result;
-  VisitFrom([start](const BlockIndexKey& k) { return k.ts >= start; },
-            [&result, end](const BlockIndexEntry& e) {
-              if (e.ts > end) return false;
-              result.Set(e.bid);
-              return true;
-            })
-      .ok();
-  return result;
+Status BlockIndex::BlocksInWindow(Timestamp start, Timestamp end,
+                                  Bitmap* out) const {
+  *out = Bitmap(num_blocks());
+  if (end < start) return Status::OK();
+  return VisitFrom([start](const BlockIndexKey& k) { return k.ts >= start; },
+                   [out, end](const BlockIndexEntry& e) {
+                     if (e.ts > end) return false;
+                     out->Set(e.bid);
+                     return true;
+                   });
 }
 
 uint64_t BlockIndex::persisted_end() const {

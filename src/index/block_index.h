@@ -112,9 +112,9 @@ class BlockIndex {
   Status FindFirstAtOrAfter(Timestamp ts, BlockIndexEntry* out) const;
 
   /// Bitmap over blocks whose timestamp lies in [start, end] (paper
-  /// Algorithms 1–3, line "B <- BI(c, e)"). I/O errors against checkpoint
-  /// segments degrade to an empty window for the affected range.
-  Bitmap BlocksInWindow(Timestamp start, Timestamp end) const;
+  /// Algorithms 1–3, line "B <- BI(c, e)"). An I/O error against a
+  /// checkpoint segment is returned; *out is then incomplete.
+  Status BlocksInWindow(Timestamp start, Timestamp end, Bitmap* out) const;
 
   int tree_height() const { return tree_.height(); }
 

@@ -9,8 +9,8 @@
 
 namespace sebdb {
 
-using sql_internal::AllBlocksBitmap;
 using sql_internal::OffchainColumnNames;
+using sql_internal::RowFilter;
 using sql_internal::SchemaColumnNames;
 
 namespace {
@@ -91,13 +91,27 @@ Status Executor::ResolveWindow(const std::optional<TimeWindow>& window,
     }
     return Status::OK();
   };
-  Timestamp start_ts, end_ts;
+  Timestamp start_ts = 0, end_ts = 0;
   s = as_ts(start, &start_ts);
   if (!s.ok()) return s;
   s = as_ts(end, &end_ts);
   if (!s.ok()) return s;
-  *out = indexes_->block_index().BlocksInWindow(start_ts, end_ts);
-  return Status::OK();
+  return indexes_->block_index().BlocksInWindow(start_ts, end_ts,
+                                                &out->emplace());
+}
+
+Bitmap Executor::CandidateBlocks(std::optional<Bitmap> first_level,
+                                 const std::optional<Bitmap>& window) const {
+  Bitmap blocks;
+  if (first_level.has_value()) {
+    blocks = std::move(*first_level);
+  } else {
+    const uint64_t n = store_->num_blocks();
+    blocks.Resize(n);
+    for (uint64_t i = 0; i < n; i++) blocks.Set(i);
+  }
+  if (window.has_value()) blocks.And(*window);
+  return blocks;
 }
 
 std::vector<Value> Executor::TxnToRow(const Transaction& txn,
@@ -357,13 +371,14 @@ Status Executor::ExecSingleTable(const SelectStmt& stmt,
         static_cast<double>(
             stats.blocks_appended.load(std::memory_order_relaxed));
   }
+  const Value* lo =
+      range.has_value() && range->lo.has_value() ? &*range->lo : nullptr;
+  const Value* hi =
+      range.has_value() && range->hi.has_value() ? &*range->hi : nullptr;
   AccessPathCosts costs = EstimateSelectCosts(
       store_->num_blocks(),
       indexes_->table_index().BlocksWithTable(table).Count(),
-      range.has_value() ? layered : nullptr,
-      range.has_value() && range->lo.has_value() ? &*range->lo : nullptr,
-      range.has_value() && range->hi.has_value() ? &*range->hi : nullptr,
-      cost_params);
+      range.has_value() ? layered : nullptr, lo, hi, cost_params);
   AccessPath path = options.access_path;
   if (path == AccessPath::kAuto) {
     path = (layered != nullptr && range.has_value() && costs.LayeredWins())
@@ -401,77 +416,29 @@ Status Executor::ExecSingleTable(const SelectStmt& stmt,
   }
   if (explain_only) return Status::OK();
 
-  const uint64_t n = store_->num_blocks();
-  auto row_passes = [&](const std::vector<Value>& row, bool* ok) -> Status {
-    if (stmt.where == nullptr) {
-      *ok = true;
-      return Status::OK();
-    }
-    return EvalPredicate(*stmt.where, bindings, row, options.params, ok);
-  };
-
-  using RowVec = std::vector<std::vector<Value>>;
-  std::vector<RowVec> buffers;
-  if (path == AccessPath::kLayered) {
-    Bitmap candidates = layered->CandidateBlocks(
-        range.has_value() && range->lo.has_value() ? &*range->lo : nullptr,
-        range.has_value() && range->hi.has_value() ? &*range->hi : nullptr);
-    if (window.has_value()) candidates.And(*window);
-    const std::vector<size_t> bids = candidates.SetBits();
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
-        [&](size_t i, RowVec* out) -> Status {
-          std::vector<TxnPointer> pointers;
-          Status ps = layered->SearchBlock(
-              bids[i],
-              range.has_value() && range->lo.has_value() ? &*range->lo
-                                                         : nullptr,
-              range.has_value() && range->hi.has_value() ? &*range->hi
-                                                         : nullptr,
-              &pointers);
-          if (!ps.ok()) return ps;
-          for (const auto& pointer : pointers) {
-            std::shared_ptr<const Transaction> txn;
-            ps = store_->ReadTransaction(pointer.block, pointer.index, &txn);
-            if (!ps.ok()) return ps;
-            std::vector<Value> row = TxnToRow(*txn, schema.num_columns());
-            bool ok;
-            ps = row_passes(row, &ok);
-            if (!ps.ok()) return ps;
-            if (ok) out->push_back(std::move(row));
-          }
-          return Status::OK();
-        },
-        &buffers);
-    if (!s.ok()) return s;
-  } else {
-    Bitmap blocks = path == AccessPath::kBitmap
-                        ? indexes_->table_index().BlocksWithTable(table)
-                        : AllBlocksBitmap(n);
-    if (window.has_value()) blocks.And(*window);
-    const std::vector<size_t> bids = blocks.SetBits();
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
-        [&](size_t i, RowVec* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn.tname() != table) continue;
-            std::vector<Value> row = TxnToRow(txn, schema.num_columns());
-            bool ok;
-            ps = row_passes(row, &ok);
-            if (!ps.ok()) return ps;
-            if (ok) out->push_back(std::move(row));
-          }
-          return Status::OK();
-        },
-        &buffers);
-    if (!s.ok()) return s;
+  std::optional<Bitmap> first_level;
+  Locate locate;
+  if (path == AccessPath::kBitmap) {
+    first_level = indexes_->table_index().BlocksWithTable(table);
+  } else if (path == AccessPath::kLayered) {
+    first_level = layered->CandidateBlocks(lo, hi);
+    // Rows come in the index's key order within each block.
+    locate = [&](size_t block, std::vector<uint32_t>* positions) -> Status {
+      std::vector<TxnPointer> pointers;
+      Status ls = layered->SearchBlock(block, lo, hi, &pointers);
+      for (const auto& pointer : pointers) positions->push_back(pointer.index);
+      return ls;
+    };
   }
-  for (auto& buffer : buffers) {
-    for (auto& row : buffer) result->rows.push_back(std::move(row));
-  }
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
+  const int num_columns = schema.num_columns();
+  s = FetchRows(CandidateBlocks(std::move(first_level), window), locate,
+                [&](const Transaction& txn, Rows* out) -> Status {
+                  if (txn.tname() != table) return Status::OK();
+                  return filter.Emit(TxnToRow(txn, num_columns), out);
+                },
+                &result->rows);
+  if (!s.ok()) return s;
   return Project(stmt, bindings, result);
 }
 
@@ -495,13 +462,10 @@ Status Executor::ExecOffchainOnly(const SelectStmt& stmt,
   std::vector<OffchainRow> rows;
   s = offchain_->FetchAll(table, &rows);
   if (!s.ok()) return s;
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
   for (auto& row : rows) {
-    bool ok = true;
-    if (stmt.where != nullptr) {
-      s = EvalPredicate(*stmt.where, bindings, row, options.params, &ok);
-      if (!s.ok()) return s;
-    }
-    if (ok) result->rows.push_back(std::move(row));
+    s = filter.Emit(std::move(row), &result->rows);
+    if (!s.ok()) return s;
   }
   return Project(stmt, bindings, result);
 }
@@ -544,124 +508,70 @@ Status Executor::ExecTrace(const TraceStmt& stmt, const ExecOptions& options,
   result->columns = {"tid", "ts", "senid", "tname", "data"};
   if (explain_only) return Status::OK();
 
-  const uint64_t n = store_->num_blocks();
-  auto txn_matches = [&](const Transaction& txn) {
-    if (has_operator && txn.sender() != operator_id) return false;
-    if (has_operation && txn.tname() != operation) return false;
-    return true;
-  };
-  auto txn_to_row = [](const Transaction& txn) {
-    std::string data;
-    for (size_t i = 0; i < txn.values().size(); i++) {
-      if (i > 0) data += ", ";
-      data += txn.values()[i].ToString();
-    }
-    return std::vector<Value>{Value::Int(static_cast<int64_t>(txn.tid())),
-                              Value::Ts(txn.ts()), Value::Str(txn.sender()),
-                              Value::Str(txn.tname()), Value::Str(data)};
-  };
-  using RowVec = std::vector<std::vector<Value>>;
-  std::vector<RowVec> buffers;
-  auto merge_buffers = [&] {
-    for (auto& buffer : buffers) {
-      for (auto& row : buffer) result->rows.push_back(std::move(row));
-    }
-  };
-
-  if (path == AccessPath::kScan || path == AccessPath::kBitmap) {
-    Bitmap blocks = window.has_value() ? *window : AllBlocksBitmap(n);
-    if (path == AccessPath::kBitmap) {
-      // Bitmap method: filter through the first-level bitmaps of the system
-      // SenID/Tname indices, then read the surviving blocks whole.
-      if (has_operator) {
-        blocks.And(
-            indexes_->senid_index()->BlocksWithValue(Value::Str(operator_id)));
-      }
-      if (has_operation) {
-        blocks.And(
-            indexes_->tname_index()->BlocksWithValue(Value::Str(operation)));
-      }
-    }
-    const std::vector<size_t> bids = blocks.SetBits();
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
-        [&](size_t i, RowVec* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn_matches(txn)) out->push_back(txn_to_row(txn));
-          }
-          return Status::OK();
-        },
-        &buffers);
-    if (!s.ok()) return s;
-    merge_buffers();
-    return Status::OK();
-  }
-
-  // Layered method: the same first-level bitmap filter (paper Alg. 1 lines
-  // 1-5), then a second-level search per block, intersect the position sets
-  // of the two dimensions, and random-read only the result transactions
-  // (paper Alg. 1 lines 6-13).
-  Bitmap blocks = window.has_value() ? *window : AllBlocksBitmap(n);
+  // The traced dimensions: a system index and the key it must hold.
+  std::vector<std::pair<LayeredIndex*, Value>> dims;
   if (has_operator) {
-    blocks.And(indexes_->senid_index()->BlocksWithValue(Value::Str(operator_id)));
+    dims.emplace_back(indexes_->senid_index(), Value::Str(operator_id));
   }
   if (has_operation) {
-    blocks.And(indexes_->tname_index()->BlocksWithValue(Value::Str(operation)));
+    dims.emplace_back(indexes_->tname_index(), Value::Str(operation));
+  }
+  // Bitmap and layered methods share the first-level filter (paper Alg. 1
+  // lines 1-5): the blocks holding every traced key. The bitmap method reads
+  // those blocks whole; the layered one searches each block's second level
+  // per dimension, intersects the position sets and reads only the result
+  // transactions (lines 6-13).
+  std::optional<Bitmap> first_level;
+  Locate locate;
+  if (path != AccessPath::kScan) {
+    for (const auto& [index, key] : dims) {
+      Bitmap blocks = index->BlocksWithValue(key);
+      if (first_level.has_value()) {
+        first_level->And(blocks);
+      } else {
+        first_level = std::move(blocks);
+      }
+    }
+  }
+  if (path == AccessPath::kLayered) {
+    locate = [&](size_t block, std::vector<uint32_t>* positions) -> Status {
+      for (size_t d = 0; d < dims.size(); d++) {
+        const auto& [index, key] = dims[d];
+        std::vector<TxnPointer> pointers;
+        Status ls = index->SearchBlock(block, &key, &key, &pointers);
+        if (!ls.ok()) return ls;
+        std::vector<uint32_t> found;
+        for (const auto& pointer : pointers) found.push_back(pointer.index);
+        std::sort(found.begin(), found.end());
+        if (d > 0) {
+          std::vector<uint32_t> both;
+          std::set_intersection(positions->begin(), positions->end(),
+                                found.begin(), found.end(),
+                                std::back_inserter(both));
+          found = std::move(both);
+        }
+        *positions = std::move(found);
+      }
+      return Status::OK();
+    };
   }
 
-  const std::vector<size_t> bids = blocks.SetBits();
-  s = sql_internal::ParallelMapOrdered<RowVec>(
-      pool_, bids.size(),
-      [&](size_t i, RowVec* out) -> Status {
-        const size_t bid = bids[i];
-        std::vector<uint32_t> positions;
-        Status ps;
-        if (has_operator) {
-          std::vector<TxnPointer> pointers;
-          Value key = Value::Str(operator_id);
-          ps = indexes_->senid_index()->SearchBlock(bid, &key, &key, &pointers);
-          if (!ps.ok()) return ps;
-          for (const auto& pointer : pointers) {
-            positions.push_back(pointer.index);
-          }
+  return FetchRows(
+      CandidateBlocks(std::move(first_level), window), locate,
+      [&](const Transaction& txn, Rows* out) -> Status {
+        if (has_operator && txn.sender() != operator_id) return Status::OK();
+        if (has_operation && txn.tname() != operation) return Status::OK();
+        std::string data;
+        for (size_t i = 0; i < txn.values().size(); i++) {
+          if (i > 0) data += ", ";
+          data += txn.values()[i].ToString();
         }
-        if (has_operation) {
-          std::vector<TxnPointer> pointers;
-          Value key = Value::Str(operation);
-          ps = indexes_->tname_index()->SearchBlock(bid, &key, &key, &pointers);
-          if (!ps.ok()) return ps;
-          std::vector<uint32_t> op_positions;
-          for (const auto& pointer : pointers) {
-            op_positions.push_back(pointer.index);
-          }
-          if (has_operator) {
-            std::sort(positions.begin(), positions.end());
-            std::sort(op_positions.begin(), op_positions.end());
-            std::vector<uint32_t> both;
-            std::set_intersection(positions.begin(), positions.end(),
-                                  op_positions.begin(), op_positions.end(),
-                                  std::back_inserter(both));
-            positions = std::move(both);
-          } else {
-            positions = std::move(op_positions);
-          }
-        }
-        std::sort(positions.begin(), positions.end());
-        for (uint32_t position : positions) {
-          std::shared_ptr<const Transaction> txn;
-          ps = store_->ReadTransaction(bid, position, &txn);
-          if (!ps.ok()) return ps;
-          out->push_back(txn_to_row(*txn));
-        }
+        out->push_back({Value::Int(static_cast<int64_t>(txn.tid())),
+                        Value::Ts(txn.ts()), Value::Str(txn.sender()),
+                        Value::Str(txn.tname()), Value::Str(data)});
         return Status::OK();
       },
-      &buffers);
-  if (!s.ok()) return s;
-  merge_buffers();
-  return Status::OK();
+      &result->rows);
 }
 
 Status Executor::ExecGetBlock(const GetBlockStmt& stmt,

@@ -9,6 +9,8 @@
 // through ExecOptions for the method-comparison figures.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +95,45 @@ class Executor {
   Status ResolveWindow(const std::optional<TimeWindow>& window,
                        const std::vector<Value>& params,
                        std::optional<Bitmap>* out) const;
+
+  // --- The executor pipeline (paper §V): candidate step, then fetch stage.
+  // Every SELECT, TRACE and join reads its blocks through these two.
+
+  using Rows = std::vector<std::vector<Value>>;
+  /// Second-level search inside one candidate block: the positions of the
+  /// rows to read, in read order. Runs once per block on a fetch worker.
+  using Locate =
+      std::function<Status(size_t block, std::vector<uint32_t>* positions)>;
+
+  /// Candidate step: the first-level filter's blocks (every block when
+  /// nullopt) inside the statement's time window.
+  Bitmap CandidateBlocks(std::optional<Bitmap> first_level,
+                         const std::optional<Bitmap>& window) const;
+
+  /// Fetch stage fan-out: work(i, &buffers[i]) for every unit i < `units`,
+  /// spread over pool_, each unit into a private buffer. Buffers come back
+  /// in unit order, so the caller sees exactly what the serial loop sees.
+  template <typename Buffer, typename Work>
+  Status FanOut(size_t units, const Work& work,
+                std::vector<Buffer>* buffers) const;
+  /// FanOut into row buffers, appended to `rows` in unit order.
+  template <typename Work>
+  Status FanOutRows(size_t units, const Work& work, Rows* rows) const;
+  /// Reads block `block` whole, or only at `positions` in their order, and
+  /// hands each transaction to on_txn(txn, out).
+  template <typename Buffer, typename OnTxn>
+  Status ReadTxns(size_t block, const std::vector<uint32_t>* positions,
+                  const OnTxn& on_txn, Buffer* out) const;
+  /// The whole fetch stage: each candidate block, located by `locate` when
+  /// set, read by ReadTxns into its own buffer. on_txn is a template
+  /// parameter, not a std::function: it runs once per transaction.
+  template <typename Buffer, typename OnTxn>
+  Status Fetch(const Bitmap& candidates, const Locate& locate,
+               const OnTxn& on_txn, std::vector<Buffer>* buffers) const;
+  /// Fetch into row buffers, appended to `rows` in block order.
+  template <typename OnTxn>
+  Status FetchRows(const Bitmap& candidates, const Locate& locate,
+                   const OnTxn& on_txn, Rows* rows) const;
 
   /// Appends a transaction as a full schema row (system + app columns).
   static std::vector<Value> TxnToRow(const Transaction& txn, int num_columns);

@@ -1,21 +1,22 @@
-// Shared helpers between executor.cc and executor_join.cc. Internal to the
-// sql module.
+// Shared between executor.cc and executor_join.cc: the fetch stage's
+// templates, the WHERE filter and column naming. Internal to the sql module.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/bitmap.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "index/layered_index.h"
 #include "offchain/offchain_db.h"
+#include "sql/executor.h"
 #include "types/schema.h"
 #include "types/value.h"
 
 namespace sebdb {
 namespace sql_internal {
+
+using Rows = std::vector<std::vector<Value>>;
 
 inline std::vector<std::string> SchemaColumnNames(const Schema& schema) {
   std::vector<std::string> names;
@@ -32,53 +33,102 @@ inline std::vector<std::string> OffchainColumnNames(
   return names;
 }
 
-inline Bitmap AllBlocksBitmap(uint64_t n) {
-  Bitmap b(n);
-  for (uint64_t i = 0; i < n; i++) b.Set(i);
-  return b;
-}
+/// The WHERE filter every statement shares: appends `row` to `out` when the
+/// statement's predicate holds for it (always, without a predicate).
+struct RowFilter {
+  const Expr* where;
+  const ColumnBindings& bindings;
+  const std::vector<Value>& params;
 
-/// The parallel scan primitive: produce(i, &out[i]) fills a private buffer
-/// for candidate i (block read + decode + predicate), fanned out across the
-/// pool; the caller then consumes `outputs` in candidate order, so results
-/// are byte-identical to the serial loop. A nullptr pool runs the exact
-/// serial loop (same code path, early exit on error).
-template <typename T, typename Fn>
-Status ParallelMapOrdered(ThreadPool* pool, size_t n, const Fn& produce,
-                          std::vector<T>* outputs) {
-  outputs->clear();
-  outputs->resize(n);
-  return ParallelForStatus(pool, n, [&](uint64_t i) -> Status {
-    return produce(static_cast<size_t>(i), &(*outputs)[i]);
-  });
-}
-
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.HashCode(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return a.CompareTotal(b) == 0;
+  Status Emit(std::vector<Value> row, Rows* out) const {
+    bool ok = true;
+    if (where != nullptr) {
+      Status s = EvalPredicate(*where, bindings, row, params, &ok);
+      if (!s.ok()) return s;
+    }
+    if (ok) out->push_back(std::move(row));
+    return Status::OK();
   }
 };
 
-/// Value range covered by one set bucket: (lo, hi], open at the extremes.
-struct ValueRange {
-  std::optional<Value> lo;  // exclusive
-  std::optional<Value> hi;  // inclusive
-};
-
-std::vector<ValueRange> BucketRangesOf(const LayeredIndex& index, BlockId bid);
-bool RangesOverlap(const ValueRange& a, const ValueRange& b);
-/// intersect(b_r, b_s) for continuous join attributes (paper Alg. 2).
-bool BlocksIntersectContinuous(const LayeredIndex& ir, BlockId br,
-                               const LayeredIndex& is, BlockId bs);
-/// intersect for discrete attributes: a common value occurs in both blocks.
-bool BlocksIntersectDiscrete(const LayeredIndex& ir, BlockId br,
-                             const LayeredIndex& is, BlockId bs);
-/// intersect(b_r, (lo, hi)) for the on-off join (paper Alg. 3).
-bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
-                          const Value& lo, const Value& hi);
+/// Joins per-unit row buffers in unit order.
+inline void AppendRows(std::vector<Rows>* buffers, Rows* rows) {
+  for (Rows& buffer : *buffers) {
+    for (auto& row : buffer) rows->push_back(std::move(row));
+  }
+}
 
 }  // namespace sql_internal
+
+// --- Fetch stage (declared in executor.h) ---------------------------------
+
+template <typename Buffer, typename Work>
+Status Executor::FanOut(size_t units, const Work& work,
+                        std::vector<Buffer>* buffers) const {
+  buffers->clear();
+  buffers->resize(units);
+  // A nullptr pool runs the exact serial loop, with its early exit; with a
+  // pool, the smallest failing unit's status wins, as in the serial loop.
+  return ParallelForStatus(pool_, units, [&](uint64_t i) -> Status {
+    return work(static_cast<size_t>(i), &(*buffers)[i]);
+  });
+}
+
+template <typename Work>
+Status Executor::FanOutRows(size_t units, const Work& work, Rows* rows) const {
+  std::vector<Rows> buffers;
+  Status s = FanOut(units, work, &buffers);
+  if (s.ok()) sql_internal::AppendRows(&buffers, rows);
+  return s;
+}
+
+template <typename Buffer, typename OnTxn>
+Status Executor::ReadTxns(size_t block, const std::vector<uint32_t>* positions,
+                          const OnTxn& on_txn, Buffer* out) const {
+  if (positions == nullptr) {
+    std::shared_ptr<const Block> whole;
+    Status s = store_->ReadBlock(block, &whole);
+    if (!s.ok()) return s;
+    for (const Transaction& txn : whole->transactions()) {
+      s = on_txn(txn, out);
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+  for (uint32_t position : *positions) {
+    std::shared_ptr<const Transaction> txn;
+    Status s = store_->ReadTransaction(block, position, &txn);
+    if (!s.ok()) return s;
+    s = on_txn(*txn, out);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+template <typename Buffer, typename OnTxn>
+Status Executor::Fetch(const Bitmap& candidates, const Locate& locate,
+                       const OnTxn& on_txn,
+                       std::vector<Buffer>* buffers) const {
+  const std::vector<size_t> blocks = candidates.SetBits();
+  return FanOut(
+      blocks.size(),
+      [&](size_t i, Buffer* out) -> Status {
+        if (!locate) return ReadTxns(blocks[i], nullptr, on_txn, out);
+        std::vector<uint32_t> positions;
+        Status s = locate(blocks[i], &positions);
+        if (!s.ok()) return s;
+        return ReadTxns(blocks[i], &positions, on_txn, out);
+      },
+      buffers);
+}
+
+template <typename OnTxn>
+Status Executor::FetchRows(const Bitmap& candidates, const Locate& locate,
+                           const OnTxn& on_txn, Rows* rows) const {
+  std::vector<Rows> buffers;
+  Status s = Fetch(candidates, locate, on_txn, &buffers);
+  if (s.ok()) sql_internal::AppendRows(&buffers, rows);
+  return s;
+}
+
 }  // namespace sebdb

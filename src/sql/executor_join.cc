@@ -3,7 +3,9 @@
 // full scan, hash join over bitmap-filtered blocks, and layered-index
 // sort-merge over block pairs that may produce results.
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 
 #include "sql/executor.h"
@@ -11,7 +13,18 @@
 
 namespace sebdb {
 
-namespace sql_internal {
+using sql_internal::OffchainColumnNames;
+using sql_internal::RowFilter;
+using sql_internal::Rows;
+using sql_internal::SchemaColumnNames;
+
+namespace {
+
+/// Value range covered by one set bucket: (lo, hi], open at the extremes.
+struct ValueRange {
+  std::optional<Value> lo;  // exclusive
+  std::optional<Value> hi;  // inclusive
+};
 
 std::vector<ValueRange> BucketRangesOf(const LayeredIndex& index,
                                        BlockId bid) {
@@ -42,6 +55,7 @@ bool RangesOverlap(const ValueRange& a, const ValueRange& b) {
   return true;
 }
 
+// intersect(b_r, b_s) for continuous join attributes (paper Alg. 2).
 bool BlocksIntersectContinuous(const LayeredIndex& ir, BlockId br,
                                const LayeredIndex& is, BlockId bs) {
   std::vector<ValueRange> ar = BucketRangesOf(ir, br);
@@ -59,15 +73,7 @@ bool BlocksIntersectContinuous(const LayeredIndex& ir, BlockId br,
   return false;
 }
 
-bool BlocksIntersectDiscrete(const LayeredIndex& ir, BlockId br,
-                             const LayeredIndex& is, BlockId bs) {
-  for (const auto& [value, blocks] : ir.discrete_values()) {
-    if (!blocks.Test(br)) continue;
-    if (is.BlocksWithValue(value).Test(bs)) return true;
-  }
-  return false;
-}
-
+// intersect(b_r, (lo, hi)) for the on-off join (paper Alg. 3).
 bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
                           const Value& lo, const Value& hi) {
   if (index.options().discrete) {
@@ -90,18 +96,83 @@ bool BlockIntersectsRange(const LayeredIndex& index, BlockId bid,
          buckets->Test(index.histogram().BucketOf(lo));
 }
 
-}  // namespace sql_internal
+/// The hash side of both hash joins. A comparison with NULL is not true
+/// (eval.cc), so a NULL key is neither stored nor found: it never joins, not
+/// even with another NULL.
+template <typename T>
+class JoinHashTable {
+  struct Hash {
+    size_t operator()(const Value& v) const { return v.HashCode(); }
+  };
+  struct Eq {
+    bool operator()(const Value& a, const Value& b) const {
+      return a.CompareTotal(b) == 0;
+    }
+  };
 
-using sql_internal::AllBlocksBitmap;
-using sql_internal::BlockIntersectsRange;
-using sql_internal::BlocksIntersectContinuous;
-using sql_internal::BlocksIntersectDiscrete;
-using sql_internal::OffchainColumnNames;
-using sql_internal::SchemaColumnNames;
-using sql_internal::ValueEq;
-using sql_internal::ValueHash;
+ public:
+  using Map = std::unordered_multimap<Value, T, Hash, Eq>;
 
-namespace {
+  void Insert(Value key, T value) {
+    if (!key.is_null()) map_.emplace(std::move(key), std::move(value));
+  }
+  std::pair<typename Map::const_iterator, typename Map::const_iterator> Find(
+      const Value& key) const {
+    if (key.is_null()) return {map_.end(), map_.end()};
+    return map_.equal_range(key);
+  }
+
+ private:
+  Map map_;
+};
+
+/// Off-chain rows sorted on the join column, walked like a second-level
+/// tree iterator; value() is the row's index.
+struct SortedRowsCursor {
+  const std::vector<OffchainRow>& rows;
+  int column;
+  size_t i = 0;
+
+  bool Valid() const { return i < rows.size(); }
+  const Value& key() const { return rows[i][column]; }
+  size_t value() const { return i; }
+  void Next() { i++; }
+};
+
+/// The sort-merge of both layered-merge joins: walks two key-ordered
+/// cursors and calls on_run(left_values, right_values) once per non-NULL
+/// key that both hold, with every entry of that key on each side (their
+/// cross product is the join's output for the key).
+template <typename Left, typename Right, typename OnRun>
+Status MergeEqualKeyRuns(Left left, Right right, const OnRun& on_run) {
+  std::vector<std::decay_t<decltype(left.value())>> left_run;
+  std::vector<std::decay_t<decltype(right.value())>> right_run;
+  while (left.Valid() && right.Valid()) {
+    const int cmp = left.key().CompareTotal(right.key());
+    if (cmp < 0) {
+      left.Next();
+      continue;
+    }
+    if (cmp > 0) {
+      right.Next();
+      continue;
+    }
+    const Value key = left.key();
+    left_run.clear();
+    right_run.clear();
+    for (; left.Valid() && left.key().CompareTotal(key) == 0; left.Next()) {
+      left_run.push_back(left.value());
+    }
+    for (; right.Valid() && right.key().CompareTotal(key) == 0;
+         right.Next()) {
+      right_run.push_back(right.value());
+    }
+    if (key.is_null()) continue;  // NULL equals only NULL in CompareTotal
+    Status s = on_run(left_run, right_run);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
 
 const char* StrategyName(JoinStrategy strategy) {
   switch (strategy) {
@@ -212,35 +283,17 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
   if (window.has_value()) result->plan += " window";
   if (explain_only) return Status::OK();
 
-  const uint64_t n = store_->num_blocks();
-  // Concatenate + filter one joined row into `out`. Workers pass private
-  // buffers; the buffers are merged in candidate order afterwards so the
-  // result is byte-identical to the serial nested loop.
-  auto emit = [&](const std::vector<Value>& lrow,
-                  const std::vector<Value>& rrow,
-                  std::vector<std::vector<Value>>* out) -> Status {
-    std::vector<Value> row = ConcatRows(lrow, rrow);
-    bool ok = true;
-    if (stmt.where != nullptr) {
-      Status es =
-          EvalPredicate(*stmt.where, bindings, row, options.params, &ok);
-      if (!es.ok()) return es;
-    }
-    if (ok) out->push_back(std::move(row));
-    return Status::OK();
-  };
-  using RowVec = std::vector<std::vector<Value>>;
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
+  const int left_columns = left_schema.num_columns();
+  const int right_columns = right_schema.num_columns();
 
   if (strategy == JoinStrategy::kScanHash ||
       strategy == JoinStrategy::kBitmapHash) {
-    Bitmap blocks;
-    if (strategy == JoinStrategy::kScanHash) {
-      blocks = AllBlocksBitmap(n);
-    } else {
-      blocks = indexes_->table_index().BlocksWithTable(left);
-      blocks.Or(indexes_->table_index().BlocksWithTable(right));
+    std::optional<Bitmap> first_level;
+    if (strategy == JoinStrategy::kBitmapHash) {
+      first_level = indexes_->table_index().BlocksWithTable(left);
+      first_level->Or(indexes_->table_index().BlocksWithTable(right));
     }
-    if (window.has_value()) blocks.And(*window);
 
     // One pass over the candidate blocks partitions both inputs; then a
     // hash table on the right input is probed with the left. The partition
@@ -251,46 +304,36 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
     struct Partition {
       std::vector<std::pair<Value, std::vector<Value>>> left, right;
     };
-    const std::vector<size_t> bids = blocks.SetBits();
     std::vector<Partition> parts;
-    s = sql_internal::ParallelMapOrdered<Partition>(
-        pool_, bids.size(),
-        [&](size_t i, Partition* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn.tname() == left) {
-              Value key = txn.GetColumn(left_idx);
-              out->left.emplace_back(std::move(key),
-                                     TxnToRow(txn, left_schema.num_columns()));
-            }
-            if (txn.tname() == right) {
-              Value key = txn.GetColumn(right_idx);
-              out->right.emplace_back(
-                  std::move(key), TxnToRow(txn, right_schema.num_columns()));
-            }
-          }
-          return Status::OK();
-        },
-        &parts);
+    s = Fetch(CandidateBlocks(std::move(first_level), window), Locate(),
+              [&](const Transaction& txn, Partition* out) -> Status {
+                if (txn.tname() == left) {
+                  out->left.emplace_back(txn.GetColumn(left_idx),
+                                         TxnToRow(txn, left_columns));
+                }
+                if (txn.tname() == right) {
+                  out->right.emplace_back(txn.GetColumn(right_idx),
+                                          TxnToRow(txn, right_columns));
+                }
+                return Status::OK();
+              },
+              &parts);
     if (!s.ok()) return s;
 
-    std::unordered_multimap<Value, std::vector<Value>, ValueHash, ValueEq>
-        right_rows;
+    JoinHashTable<std::vector<Value>> right_rows;
     std::vector<std::pair<Value, std::vector<Value>>> left_rows;
     for (auto& part : parts) {
       for (auto& [key, lrow] : part.left) {
         left_rows.emplace_back(std::move(key), std::move(lrow));
       }
       for (auto& [key, rrow] : part.right) {
-        right_rows.emplace(std::move(key), std::move(rrow));
+        right_rows.Insert(std::move(key), std::move(rrow));
       }
     }
     for (const auto& [key, lrow] : left_rows) {
-      auto [begin, end] = right_rows.equal_range(key);
+      auto [begin, end] = right_rows.Find(key);
       for (auto it = begin; it != end; ++it) {
-        s = emit(lrow, it->second, &result->rows);
+        s = filter.Emit(ConcatRows(lrow, it->second), &result->rows);
         if (!s.ok()) return s;
       }
     }
@@ -300,12 +343,10 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
   // Layered-merge (Algorithm 2): pair up candidate blocks of the two
   // indices, skip pairs whose first-level entries cannot intersect, and
   // sort-merge the second-level trees of the surviving pairs.
-  Bitmap left_blocks = left_index->BlocksWithEntries();
-  Bitmap right_blocks = right_index->BlocksWithEntries();
-  if (window.has_value()) {
-    left_blocks.And(*window);
-    right_blocks.And(*window);
-  }
+  const Bitmap left_blocks =
+      CandidateBlocks(left_index->BlocksWithEntries(), window);
+  const Bitmap right_blocks =
+      CandidateBlocks(right_index->BlocksWithEntries(), window);
   bool discrete =
       left_index->options().discrete || right_index->options().discrete;
   if (left_index->options().discrete != right_index->options().discrete) {
@@ -343,67 +384,42 @@ Status Executor::ExecOnChainJoin(const SelectStmt& stmt,
     }
   }
 
-  // Each surviving pair sort-merges independently into a private buffer;
-  // buffers are concatenated in pair order.
-  std::vector<RowVec> buffers;
-  s = sql_internal::ParallelMapOrdered<RowVec>(
-      pool_, pairs.size(),
-      [&](size_t i, RowVec* out) -> Status {
+  // Each surviving pair sort-merges its two blocks' second-level trees
+  // (leaves are in attribute order) and reads only the matching rows.
+  auto to_row = [](int num_columns) {
+    return [num_columns](const Transaction& txn, Rows* out) -> Status {
+      out->push_back(TxnToRow(txn, num_columns));
+      return Status::OK();
+    };
+  };
+  s = FanOutRows(
+      pairs.size(),
+      [&](size_t i, Rows* out) -> Status {
         const auto [br, bs] = pairs[i];
-        // Sort-merge over the two blocks' second-level trees (leaves are in
-        // attribute order).
         std::shared_ptr<const LayeredIndex::SecondLevelTree> ltree, rtree;
         Status ts = left_index->Tree(br, &ltree);
         if (ts.ok()) ts = right_index->Tree(bs, &rtree);
         if (!ts.ok()) return ts;
         if (ltree == nullptr || rtree == nullptr) return Status::OK();
-        auto lit = ltree->Begin();
-        auto rit = rtree->Begin();
-        Status ps;
-        while (lit.Valid() && rit.Valid()) {
-          int cmp = lit.key().CompareTotal(rit.key());
-          if (cmp < 0) {
-            lit.Next();
-            continue;
-          }
-          if (cmp > 0) {
-            rit.Next();
-            continue;
-          }
-          // Equal keys: cross product of both duplicate groups.
-          Value key = lit.key();
-          std::vector<uint32_t> lpos, rpos;
-          while (lit.Valid() && lit.key().CompareTotal(key) == 0) {
-            lpos.push_back(lit.value());
-            lit.Next();
-          }
-          while (rit.Valid() && rit.key().CompareTotal(key) == 0) {
-            rpos.push_back(rit.value());
-            rit.Next();
-          }
-          for (uint32_t lp : lpos) {
-            std::shared_ptr<const Transaction> ltxn;
-            ps = store_->ReadTransaction(br, lp, &ltxn);
-            if (!ps.ok()) return ps;
-            std::vector<Value> lrow =
-                TxnToRow(*ltxn, left_schema.num_columns());
-            for (uint32_t rp : rpos) {
-              std::shared_ptr<const Transaction> rtxn;
-              ps = store_->ReadTransaction(bs, rp, &rtxn);
-              if (!ps.ok()) return ps;
-              ps = emit(lrow, TxnToRow(*rtxn, right_schema.num_columns()),
-                        out);
-              if (!ps.ok()) return ps;
-            }
-          }
-        }
-        return Status::OK();
+        return MergeEqualKeyRuns(
+            ltree->Begin(), rtree->Begin(),
+            [&](const std::vector<uint32_t>& lpos,
+                const std::vector<uint32_t>& rpos) -> Status {
+              Rows lrows, rrows;
+              Status rs = ReadTxns(br, &lpos, to_row(left_columns), &lrows);
+              if (rs.ok()) {
+                rs = ReadTxns(bs, &rpos, to_row(right_columns), &rrows);
+              }
+              for (size_t l = 0; rs.ok() && l < lrows.size(); l++) {
+                for (size_t r = 0; rs.ok() && r < rrows.size(); r++) {
+                  rs = filter.Emit(ConcatRows(lrows[l], rrows[r]), out);
+                }
+              }
+              return rs;
+            });
       },
-      &buffers);
+      &result->rows);
   if (!s.ok()) return s;
-  for (auto& buffer : buffers) {
-    for (auto& row : buffer) result->rows.push_back(std::move(row));
-  }
   return Project(stmt, bindings, result);
 }
 
@@ -480,25 +496,14 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
   if (window.has_value()) result->plan += " window";
   if (explain_only) return Status::OK();
 
-  // As in ExecOnChainJoin: emit into a caller-supplied buffer so probe work
-  // can run on private per-block buffers, merged in block order.
+  const RowFilter filter{stmt.where.get(), bindings, options.params};
   auto emit = [&](const std::vector<Value>& on_row,
-                  const std::vector<Value>& off_row,
-                  std::vector<std::vector<Value>>* out) -> Status {
-    std::vector<Value> row = left_is_off ? ConcatRows(off_row, on_row)
-                                         : ConcatRows(on_row, off_row);
-    bool ok = true;
-    if (stmt.where != nullptr) {
-      Status es =
-          EvalPredicate(*stmt.where, bindings, row, options.params, &ok);
-      if (!es.ok()) return es;
-    }
-    if (ok) out->push_back(std::move(row));
-    return Status::OK();
+                  const std::vector<Value>& off_row, Rows* out) -> Status {
+    return filter.Emit(left_is_off ? ConcatRows(off_row, on_row)
+                                   : ConcatRows(on_row, off_row),
+                       out);
   };
-  using RowVec = std::vector<std::vector<Value>>;
-
-  const uint64_t n = store_->num_blocks();
+  const int on_columns = on_schema.num_columns();
 
   if (strategy == JoinStrategy::kScanHash ||
       strategy == JoinStrategy::kBitmapHash) {
@@ -508,40 +513,28 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
     std::vector<OffchainRow> off_rows;
     s = offchain_->FetchAll(off_ref.name, &off_rows);
     if (!s.ok()) return s;
-    std::unordered_multimap<Value, const OffchainRow*, ValueHash, ValueEq>
-        hash;
-    for (const auto& row : off_rows) hash.emplace(row[off_idx], &row);
+    JoinHashTable<const OffchainRow*> hash;
+    for (const auto& row : off_rows) hash.Insert(row[off_idx], &row);
 
-    Bitmap blocks = strategy == JoinStrategy::kScanHash
-                        ? AllBlocksBitmap(n)
-                        : indexes_->table_index().BlocksWithTable(on_ref.name);
-    if (window.has_value()) blocks.And(*window);
-    const std::vector<size_t> bids = blocks.SetBits();
-    std::vector<RowVec> buffers;
-    s = sql_internal::ParallelMapOrdered<RowVec>(
-        pool_, bids.size(),
-        [&](size_t i, RowVec* out) -> Status {
-          std::shared_ptr<const Block> block;
-          Status ps = store_->ReadBlock(bids[i], &block);
-          if (!ps.ok()) return ps;
-          for (const auto& txn : block->transactions()) {
-            if (txn.tname() != on_ref.name) continue;
-            Value key = txn.GetColumn(on_idx);
-            auto [begin, end] = hash.equal_range(key);
-            if (begin == end) continue;
-            std::vector<Value> on_row = TxnToRow(txn, on_schema.num_columns());
-            for (auto it = begin; it != end; ++it) {
-              ps = emit(on_row, *it->second, out);
-              if (!ps.ok()) return ps;
-            }
-          }
-          return Status::OK();
-        },
-        &buffers);
-    if (!s.ok()) return s;
-    for (auto& buffer : buffers) {
-      for (auto& row : buffer) result->rows.push_back(std::move(row));
+    std::optional<Bitmap> first_level;
+    if (strategy == JoinStrategy::kBitmapHash) {
+      first_level = indexes_->table_index().BlocksWithTable(on_ref.name);
     }
+    s = FetchRows(CandidateBlocks(std::move(first_level), window), Locate(),
+                  [&](const Transaction& txn, Rows* out) -> Status {
+                    if (txn.tname() != on_ref.name) return Status::OK();
+                    auto [begin, end] = hash.Find(txn.GetColumn(on_idx));
+                    if (begin == end) return Status::OK();
+                    const std::vector<Value> on_row =
+                        TxnToRow(txn, on_columns);
+                    for (auto it = begin; it != end; ++it) {
+                      Status es = emit(on_row, *it->second, out);
+                      if (!es.ok()) return es;
+                    }
+                    return Status::OK();
+                  },
+                  &result->rows);
+    if (!s.ok()) return s;
     return Project(stmt, bindings, result);
   }
 
@@ -554,84 +547,57 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
   if (!s.ok()) return s;
   if (off_sorted.empty()) return Project(stmt, bindings, result);
 
-  Bitmap candidates(n);
+  Bitmap first_level(store_->num_blocks());
   if (on_index->options().discrete) {
     std::vector<Value> distinct;
     s = offchain_->Distinct(off_ref.name, off_col, &distinct);
     if (!s.ok()) return s;
     for (const auto& v : distinct) {
-      candidates.Or(on_index->BlocksWithValue(v));
+      first_level.Or(on_index->BlocksWithValue(v));
     }
   } else {
     Value smin, smax;
     s = offchain_->MinMax(off_ref.name, off_col, &smin, &smax);
     if (!s.ok()) return s;
-    Bitmap with_entries = on_index->BlocksWithEntries();
-    for (size_t bid : with_entries.SetBits()) {
+    for (size_t bid : on_index->BlocksWithEntries().SetBits()) {
       if (BlockIntersectsRange(*on_index, bid, smin, smax)) {
-        candidates.Set(bid);
+        first_level.Set(bid);
       }
     }
   }
-  if (window.has_value()) candidates.And(*window);
 
   // Each candidate block merges independently against the shared sorted
-  // off-chain rows (read-only); per-block buffers concatenate in block order.
-  const std::vector<size_t> cand_bids = candidates.SetBits();
-  std::vector<RowVec> buffers;
-  s = sql_internal::ParallelMapOrdered<RowVec>(
-      pool_, cand_bids.size(),
-      [&](size_t i, RowVec* out) -> Status {
-        const size_t bid = cand_bids[i];
+  // off-chain rows (read-only) and reads only its matching rows.
+  const std::vector<size_t> blocks =
+      CandidateBlocks(std::move(first_level), window).SetBits();
+  s = FanOutRows(
+      blocks.size(),
+      [&](size_t i, Rows* out) -> Status {
+        const size_t bid = blocks[i];
         std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
         Status ts = on_index->Tree(bid, &tree);
         if (!ts.ok()) return ts;
         if (tree == nullptr) return Status::OK();
-        auto onit = tree->Begin();
-        size_t off_i = 0;
-        Status ps;
-        while (onit.Valid() && off_i < off_sorted.size()) {
-          int cmp = onit.key().CompareTotal(off_sorted[off_i][off_idx]);
-          if (cmp < 0) {
-            onit.Next();
-            continue;
-          }
-          if (cmp > 0) {
-            off_i++;
-            continue;
-          }
-          Value key = onit.key();
-          std::vector<uint32_t> on_pos;
-          while (onit.Valid() && onit.key().CompareTotal(key) == 0) {
-            on_pos.push_back(onit.value());
-            onit.Next();
-          }
-          size_t off_start = off_i;
-          while (off_i < off_sorted.size() &&
-                 off_sorted[off_i][off_idx].CompareTotal(key) == 0) {
-            off_i++;
-          }
-          for (uint32_t pos : on_pos) {
-            std::shared_ptr<const Transaction> txn;
-            ps = store_->ReadTransaction(bid, pos, &txn);
-            if (!ps.ok()) return ps;
-            std::vector<Value> on_row =
-                TxnToRow(*txn, on_schema.num_columns());
-            for (size_t j = off_start; j < off_i; j++) {
-              ps = emit(on_row, off_sorted[j], out);
-              if (!ps.ok()) return ps;
-            }
-          }
-          // Off-chain duplicates were consumed; the merge continues after
-          // them for the next on-chain key.
-        }
-        return Status::OK();
+        return MergeEqualKeyRuns(
+            tree->Begin(), SortedRowsCursor{off_sorted, off_idx},
+            [&](const std::vector<uint32_t>& on_pos,
+                const std::vector<size_t>& off_run) -> Status {
+              return ReadTxns(
+                  bid, &on_pos,
+                  [&](const Transaction& txn, Rows* rows) -> Status {
+                    const std::vector<Value> on_row =
+                        TxnToRow(txn, on_columns);
+                    for (size_t j : off_run) {
+                      Status es = emit(on_row, off_sorted[j], rows);
+                      if (!es.ok()) return es;
+                    }
+                    return Status::OK();
+                  },
+                  out);
+            });
       },
-      &buffers);
+      &result->rows);
   if (!s.ok()) return s;
-  for (auto& buffer : buffers) {
-    for (auto& row : buffer) result->rows.push_back(std::move(row));
-  }
   return Project(stmt, bindings, result);
 }
 

@@ -111,8 +111,11 @@ std::string Fingerprint(ChainManager* chain, uint64_t seed) {
     s = bidx.FindFirstAtOrAfter(ts, &e);
     fp += s.ok() ? "@" + std::to_string(e.bid) : "@miss";
     Timestamp lo = 990 + static_cast<Timestamp>(rng() % 150);
-    fp += BitmapString(
-        bidx.BlocksInWindow(lo, lo + static_cast<Timestamp>(rng() % 40)));
+    Bitmap window;
+    s = bidx.BlocksInWindow(lo, lo + static_cast<Timestamp>(rng() % 40),
+                            &window);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    fp += BitmapString(window);
   }
 
   // System layered indices: candidates + per-block pointers per key.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 
+#include "common/env.h"
+#include "common/fault_env.h"
 #include "offchain/offchain_db.h"
 #include "sql/executor.h"
 #include "tests/test_util.h"
@@ -13,6 +15,7 @@ namespace sebdb {
 namespace {
 
 using testing_util::MakeTxn;
+using testing_util::ScratchDir;
 using testing_util::TestChain;
 
 class ExecutorTest : public ::testing::Test {
@@ -359,6 +362,107 @@ TEST_F(ExecutorTest, DiscreteIndexOnStringColumn) {
   ResultSet plan =
       Run("EXPLAIN SELECT * FROM donate WHERE donor = 'd3'", layered);
   EXPECT_NE(plan.plan.find("layered(donor"), std::string::npos);
+}
+
+TEST_F(ExecutorTest, NullJoinKeysNeverMatch) {
+  // One NULL-keyed row on each side of both joins: a comparison with NULL
+  // is not true, so neither pair may join.
+  ASSERT_TRUE(chain_
+                  ->AppendBlock({MakeTxn("transfer", "org1", NextTs(),
+                                         {Value::Str("proj"), Value::Null(),
+                                          Value::Int(1)}),
+                                 MakeTxn("distribute", "org2", NextTs(),
+                                         {Value::Null(), Value::Null(),
+                                          Value::Int(2)})})
+                  .ok());
+  ASSERT_TRUE(
+      offchain_.Insert("doneeinfo", {Value::Null(), Value::Int(99)}).ok());
+
+  const std::string on_chain =
+      "SELECT * FROM transfer, distribute ON transfer.organization = "
+      "distribute.organization";
+  const std::string on_off =
+      "SELECT * FROM onchain.distribute, offchain.doneeinfo ON "
+      "distribute.donee = doneeinfo.donee";
+  Run("CREATE INDEX ON transfer(organization)");
+  Run("CREATE INDEX ON distribute(organization)");
+  Run("CREATE INDEX ON distribute(donee)");
+  for (JoinStrategy join : {JoinStrategy::kScanHash, JoinStrategy::kBitmapHash,
+                            JoinStrategy::kLayeredMerge}) {
+    ExecOptions options;
+    options.join_strategy = join;
+    ResultSet rs = Run(on_chain, options);
+    EXPECT_EQ(rs.num_rows(), 8u) << rs.plan;  // as in OnChainJoinGroundTruth
+    for (const auto& row : rs.rows) {
+      for (const auto& v : row) EXPECT_FALSE(v.is_null()) << rs.plan;
+    }
+    rs = Run(on_off, options);
+    EXPECT_EQ(rs.num_rows(), 5u) << rs.plan;  // donee1,3,5,7,9
+  }
+}
+
+// A windowed query over a checkpointed chain whose block-index pages cannot
+// be read must fail, not answer from a window that silently lost blocks.
+TEST(ExecutorFaultTest, WindowReadErrorFailsQuery) {
+  ScratchDir dir("executor_window_fault");
+  ChainOptions options;
+  options.verify_signatures = false;
+  options.checkpoint.interval_blocks = 0;
+  options.checkpoint.checkpoint_on_close = true;
+  {
+    ChainManager chain("node", nullptr);
+    ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+    Schema t;
+    ASSERT_TRUE(Schema::Create("t", {{"v", ValueType::kInt64}}, &t).ok());
+    Transaction schema_txn = Catalog::MakeSchemaTransaction(t);
+    schema_txn.set_sender("admin");
+    schema_txn.set_ts(1);
+    ASSERT_TRUE(chain.AppendBatch(0, {schema_txn}, 1, "sig").ok());
+    // Enough blocks that the block index spans several pages.
+    for (uint64_t seq = 1; seq <= 400; seq++) {
+      const Timestamp ts = static_cast<Timestamp>(10 * seq);
+      ASSERT_TRUE(chain
+                      .AppendBatch(seq,
+                                   {MakeTxn("t", "org", ts,
+                                            {Value::Int(
+                                                static_cast<int64_t>(seq))})},
+                                   ts, "sig")
+                      .ok());
+    }
+    ASSERT_TRUE(chain.Close().ok());
+  }
+
+  FaultInjectionEnv env(Env::Default());
+  options.store.env = &env;
+  options.indexes.env = &env;
+  options.checkpoint.pool_bytes = 2 * kPageSize;  // every descent refaults
+  options.checkpoint.checkpoint_on_close = false;
+  // The block cache keeps every block once read, so the failing run's only
+  // disk reads are the block index's pages.
+  options.store.block_cache_bytes = 8 << 20;
+  ChainManager chain("node", nullptr);
+  ASSERT_TRUE(chain.Open(options, dir.path()).ok());
+  ASSERT_TRUE(chain.startup_stats().from_checkpoint);
+  Executor executor(chain.store(), chain.indexes(), chain.catalog(), nullptr);
+  ExecOptions scan;
+  scan.access_path = AccessPath::kScan;
+  ResultSet rs;
+  ASSERT_TRUE(executor.ExecuteSql("SELECT * FROM t", scan, &rs).ok());
+  ASSERT_EQ(rs.num_rows(), 400u);  // warms the block cache
+
+  const std::string q = "SELECT * FROM t WINDOW [1000, 3000]";
+  env.SetFailReads(true);
+  Status s = executor.ExecuteSql(q, scan, &rs);
+  const size_t rows = rs.num_rows();
+  // EXPLAIN reads no block, only the window.
+  Status explain = executor.ExecuteSql("EXPLAIN " + q, scan, &rs);
+  env.SetFailReads(false);
+  EXPECT_FALSE(s.ok()) << "answered " << rows << " rows";
+  EXPECT_FALSE(explain.ok());
+
+  ASSERT_TRUE(executor.ExecuteSql(q, scan, &rs).ok());
+  EXPECT_EQ(rs.num_rows(), 201u);  // blocks 100..300
+  ASSERT_TRUE(chain.Close().ok());
 }
 
 }  // namespace

@@ -70,12 +70,14 @@ TEST(BlockIndexTest, FindByTimestampAndWindow) {
   EXPECT_EQ(entry.bid, 4u);
   EXPECT_TRUE(index.FindFirstAtOrAfter(5000, &entry).IsNotFound());
 
-  Bitmap window = index.BlocksInWindow(250, 650);
+  Bitmap window;
+  ASSERT_TRUE(index.BlocksInWindow(250, 650, &window).ok());
   std::set<size_t> expected = {3, 4, 5, 6};  // ts 300..600
   auto bits = window.SetBits();
   EXPECT_EQ(std::set<size_t>(bits.begin(), bits.end()), expected);
 
-  EXPECT_FALSE(index.BlocksInWindow(700, 600).AnySet());  // inverted window
+  ASSERT_TRUE(index.BlocksInWindow(700, 600, &window).ok());
+  EXPECT_FALSE(window.AnySet());  // inverted window
 }
 
 TEST(BlockIndexTest, RejectsOutOfOrder) {

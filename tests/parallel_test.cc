@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/sha256.h"
 #include "common/thread_pool.h"
 #include "offchain/offchain_db.h"
 #include "sql/executor.h"
@@ -204,6 +205,236 @@ class ParallelEquivalenceTest : public ::testing::Test {
   std::unique_ptr<Executor> executor_;
 };
 
+// Every (query, access path or join strategy) pair the equivalence test
+// runs, with its EXPLAIN plan and the SHA-256 of its rows rendered in output
+// order (not sorted). A mismatch is a change of plan text or of row order,
+// which users see; make it only on purpose. The test prints the table line
+// of any pair missing here.
+struct PinnedQuery {
+  const char* sql;
+  AccessPath path;
+  JoinStrategy join;
+  const char* plan;
+  const char* rows_sha256;
+};
+
+const std::vector<PinnedQuery> kPinnedQueries = {
+    {"SELECT * FROM donate WHERE amount BETWEEN 100 AND 320",
+     AccessPath::kScan, JoinStrategy::kAuto,
+     "SingleTable(donate) path=scan filter=(amount BETWEEN 100 AND 320) "
+     "cost{scan=522, bitmap=497, layered=887, est_rows=75}",
+     "b480f4b54ada0249da71a05cb65ca2b6485937aa138538f4c25f99c894908a1f"},
+    {"SELECT * FROM donate WHERE amount BETWEEN 100 AND 320 WINDOW [600, "
+     "1800]",
+     AccessPath::kScan, JoinStrategy::kAuto,
+     "SingleTable(donate) path=scan window filter=(amount BETWEEN 100 AND "
+     "320) cost{scan=522, bitmap=497, layered=887, est_rows=75}",
+     "e6a3d6033e77c9f8cd3bdfa1437ce447ab49279fa5e221baf320d3ad39956c6f"},
+    {"SELECT count(*), sum(amount) FROM donate WHERE amount BETWEEN 50 AND "
+     "400 GROUP BY project ORDER BY project DESC LIMIT 3",
+     AccessPath::kScan, JoinStrategy::kAuto,
+     "SingleTable(donate) path=scan filter=(amount BETWEEN 50 AND 400) "
+     "cost{scan=522, bitmap=497, layered=1337, est_rows=113}",
+     "f09fbdf347cee06bcdf604e4b1199e8e05d07184f0442cd0e9b74a136d2f6569"},
+    {"TRACE OPERATOR = 'donor2'",
+     AccessPath::kScan, JoinStrategy::kAuto,
+     "Trace path=scan operator=donor2",
+     "8106b699c2fae01104c77fa6016e34907fb228825a9fcbe8efbd6c57bc502eda"},
+    {"TRACE [600, 1800] OPERATOR = 'donor2'",
+     AccessPath::kScan, JoinStrategy::kAuto,
+     "Trace path=scan operator=donor2 window",
+     "3bc22a1357c45206641cfea627ca0e991bc92f84969780177a0e9b127d5227c2"},
+    {"TRACE OPERATION = 'transfer'",
+     AccessPath::kScan, JoinStrategy::kAuto,
+     "Trace path=scan operation=transfer",
+     "b48f0e1fff8f9962bb168048914f7fdbbe3768e6051c2c40ccd2afdf3f7f1ece"},
+    {"TRACE OPERATOR = 'donor1', OPERATION = 'donate'",
+     AccessPath::kScan, JoinStrategy::kAuto,
+     "Trace path=scan operator=donor1 operation=donate",
+     "48e8da63ba068523b13991c136f3901661b160829dab987cc65927165b43ba2b"},
+    {"SELECT * FROM donate WHERE amount BETWEEN 100 AND 320",
+     AccessPath::kBitmap, JoinStrategy::kAuto,
+     "SingleTable(donate) path=bitmap filter=(amount BETWEEN 100 AND 320) "
+     "cost{scan=522, bitmap=497, layered=887, est_rows=75}",
+     "b480f4b54ada0249da71a05cb65ca2b6485937aa138538f4c25f99c894908a1f"},
+    {"SELECT * FROM donate WHERE amount BETWEEN 100 AND 320 WINDOW [600, "
+     "1800]",
+     AccessPath::kBitmap, JoinStrategy::kAuto,
+     "SingleTable(donate) path=bitmap window filter=(amount BETWEEN 100 AND "
+     "320) cost{scan=522, bitmap=497, layered=887, est_rows=75}",
+     "e6a3d6033e77c9f8cd3bdfa1437ce447ab49279fa5e221baf320d3ad39956c6f"},
+    {"SELECT count(*), sum(amount) FROM donate WHERE amount BETWEEN 50 AND "
+     "400 GROUP BY project ORDER BY project DESC LIMIT 3",
+     AccessPath::kBitmap, JoinStrategy::kAuto,
+     "SingleTable(donate) path=bitmap filter=(amount BETWEEN 50 AND 400) "
+     "cost{scan=522, bitmap=497, layered=1337, est_rows=113}",
+     "f09fbdf347cee06bcdf604e4b1199e8e05d07184f0442cd0e9b74a136d2f6569"},
+    {"TRACE OPERATOR = 'donor2'",
+     AccessPath::kBitmap, JoinStrategy::kAuto,
+     "Trace path=bitmap operator=donor2",
+     "8106b699c2fae01104c77fa6016e34907fb228825a9fcbe8efbd6c57bc502eda"},
+    {"TRACE [600, 1800] OPERATOR = 'donor2'",
+     AccessPath::kBitmap, JoinStrategy::kAuto,
+     "Trace path=bitmap operator=donor2 window",
+     "3bc22a1357c45206641cfea627ca0e991bc92f84969780177a0e9b127d5227c2"},
+    {"TRACE OPERATION = 'transfer'",
+     AccessPath::kBitmap, JoinStrategy::kAuto,
+     "Trace path=bitmap operation=transfer",
+     "b48f0e1fff8f9962bb168048914f7fdbbe3768e6051c2c40ccd2afdf3f7f1ece"},
+    {"TRACE OPERATOR = 'donor1', OPERATION = 'donate'",
+     AccessPath::kBitmap, JoinStrategy::kAuto,
+     "Trace path=bitmap operator=donor1 operation=donate",
+     "48e8da63ba068523b13991c136f3901661b160829dab987cc65927165b43ba2b"},
+    {"SELECT * FROM donate WHERE amount BETWEEN 100 AND 320",
+     AccessPath::kLayered, JoinStrategy::kAuto,
+     "SingleTable(donate) path=layered(amount in [100, 320]) filter=(amount "
+     "BETWEEN 100 AND 320) cost{scan=522, bitmap=497, layered=887, "
+     "est_rows=75}",
+     "aff212e828aec3c1c46d03960157259a2884d9c0d8973fe4192e1eedf1c87127"},
+    {"SELECT * FROM donate WHERE amount BETWEEN 100 AND 320 WINDOW [600, "
+     "1800]",
+     AccessPath::kLayered, JoinStrategy::kAuto,
+     "SingleTable(donate) path=layered(amount in [100, 320]) window "
+     "filter=(amount BETWEEN 100 AND 320) cost{scan=522, bitmap=497, "
+     "layered=887, est_rows=75}",
+     "1e27991fd59c5e6431953d7a3fa957e0fe8d1f1ff697359d7da9b7bed7e5cb68"},
+    {"SELECT count(*), sum(amount) FROM donate WHERE amount BETWEEN 50 AND "
+     "400 GROUP BY project ORDER BY project DESC LIMIT 3",
+     AccessPath::kLayered, JoinStrategy::kAuto,
+     "SingleTable(donate) path=layered(amount in [50, 400]) filter=(amount "
+     "BETWEEN 50 AND 400) cost{scan=522, bitmap=497, layered=1337, "
+     "est_rows=113}",
+     "f09fbdf347cee06bcdf604e4b1199e8e05d07184f0442cd0e9b74a136d2f6569"},
+    {"TRACE OPERATOR = 'donor2'",
+     AccessPath::kLayered, JoinStrategy::kAuto,
+     "Trace path=layered operator=donor2",
+     "8106b699c2fae01104c77fa6016e34907fb228825a9fcbe8efbd6c57bc502eda"},
+    {"TRACE [600, 1800] OPERATOR = 'donor2'",
+     AccessPath::kLayered, JoinStrategy::kAuto,
+     "Trace path=layered operator=donor2 window",
+     "3bc22a1357c45206641cfea627ca0e991bc92f84969780177a0e9b127d5227c2"},
+    {"TRACE OPERATION = 'transfer'",
+     AccessPath::kLayered, JoinStrategy::kAuto,
+     "Trace path=layered operation=transfer",
+     "b48f0e1fff8f9962bb168048914f7fdbbe3768e6051c2c40ccd2afdf3f7f1ece"},
+    {"TRACE OPERATOR = 'donor1', OPERATION = 'donate'",
+     AccessPath::kLayered, JoinStrategy::kAuto,
+     "Trace path=layered operator=donor1 operation=donate",
+     "48e8da63ba068523b13991c136f3901661b160829dab987cc65927165b43ba2b"},
+    {"SELECT * FROM donate, transfer ON donate.project = transfer.project "
+     "WHERE donate.amount < 60",
+     AccessPath::kAuto, JoinStrategy::kScanHash,
+     "OnChainJoin(donate.project = transfer.project) strategy=scan-hash",
+     "f339c72274146da4dfef94243c005b6d0227f78df64ecf9a138e6314b2a77ed0"},
+    {"SELECT * FROM donate, transfer ON donate.project = transfer.project "
+     "WHERE donate.amount < 60 WINDOW [600, 1800]",
+     AccessPath::kAuto, JoinStrategy::kScanHash,
+     "OnChainJoin(donate.project = transfer.project) strategy=scan-hash window",
+     "bdc5afa76fe0394f5517b8e22d8eedd4d842836885578d0761c741f18b9ef24a"},
+    {"SELECT * FROM donate, transfer ON donate.amount = transfer.amount",
+     AccessPath::kAuto, JoinStrategy::kScanHash,
+     "OnChainJoin(donate.amount = transfer.amount) strategy=scan-hash",
+     "c3c934c8572989784fc1fe64e30cfa734a53f0e96f9e763f596f0646a2bcd9fc"},
+    {"SELECT * FROM onchain.donate, offchain.projectinfo ON donate.project "
+     "= projectinfo.project",
+     AccessPath::kAuto, JoinStrategy::kScanHash,
+     "OnOffJoin(onchain.donate.project = offchain.projectinfo.project) "
+     "strategy=scan-hash",
+     "5b6fc10f96e91ba3ab6be837b5984b33d2ca62e26f058a7ef7408d497efe5eec"},
+    {"SELECT * FROM offchain.projectinfo, onchain.donate ON "
+     "projectinfo.project = donate.project",
+     AccessPath::kAuto, JoinStrategy::kScanHash,
+     "OnOffJoin(onchain.donate.project = offchain.projectinfo.project) "
+     "strategy=scan-hash",
+     "ebc1aeb82e9d4a3fca4ef2929139197e4e832e621fa766c31bf2dd039861ff12"},
+    {"SELECT * FROM donate, transfer ON donate.project = transfer.project "
+     "WHERE donate.amount < 60",
+     AccessPath::kAuto, JoinStrategy::kBitmapHash,
+     "OnChainJoin(donate.project = transfer.project) strategy=bitmap-hash",
+     "f339c72274146da4dfef94243c005b6d0227f78df64ecf9a138e6314b2a77ed0"},
+    {"SELECT * FROM donate, transfer ON donate.project = transfer.project "
+     "WHERE donate.amount < 60 WINDOW [600, 1800]",
+     AccessPath::kAuto, JoinStrategy::kBitmapHash,
+     "OnChainJoin(donate.project = transfer.project) strategy=bitmap-hash "
+     "window",
+     "bdc5afa76fe0394f5517b8e22d8eedd4d842836885578d0761c741f18b9ef24a"},
+    {"SELECT * FROM donate, transfer ON donate.amount = transfer.amount",
+     AccessPath::kAuto, JoinStrategy::kBitmapHash,
+     "OnChainJoin(donate.amount = transfer.amount) strategy=bitmap-hash",
+     "c3c934c8572989784fc1fe64e30cfa734a53f0e96f9e763f596f0646a2bcd9fc"},
+    {"SELECT * FROM onchain.donate, offchain.projectinfo ON donate.project "
+     "= projectinfo.project",
+     AccessPath::kAuto, JoinStrategy::kBitmapHash,
+     "OnOffJoin(onchain.donate.project = offchain.projectinfo.project) "
+     "strategy=bitmap-hash",
+     "5b6fc10f96e91ba3ab6be837b5984b33d2ca62e26f058a7ef7408d497efe5eec"},
+    {"SELECT * FROM offchain.projectinfo, onchain.donate ON "
+     "projectinfo.project = donate.project",
+     AccessPath::kAuto, JoinStrategy::kBitmapHash,
+     "OnOffJoin(onchain.donate.project = offchain.projectinfo.project) "
+     "strategy=bitmap-hash",
+     "ebc1aeb82e9d4a3fca4ef2929139197e4e832e621fa766c31bf2dd039861ff12"},
+    {"SELECT * FROM donate, transfer ON donate.project = transfer.project "
+     "WHERE donate.amount < 60",
+     AccessPath::kAuto, JoinStrategy::kLayeredMerge,
+     "OnChainJoin(donate.project = transfer.project) strategy=layered-merge",
+     "bf031f7dbcd14066206fb16f587694715e9b859beb840e6fa45c5f13e74d1b18"},
+    {"SELECT * FROM donate, transfer ON donate.project = transfer.project "
+     "WHERE donate.amount < 60 WINDOW [600, 1800]",
+     AccessPath::kAuto, JoinStrategy::kLayeredMerge,
+     "OnChainJoin(donate.project = transfer.project) strategy=layered-merge "
+     "window",
+     "1fcfad7a13c1bb873541e1ad79fb58ab4568e3e7a88857d9bd35f6870e74bf38"},
+    {"SELECT * FROM donate, transfer ON donate.amount = transfer.amount",
+     AccessPath::kAuto, JoinStrategy::kLayeredMerge,
+     "OnChainJoin(donate.amount = transfer.amount) strategy=layered-merge",
+     "743aa11778133d1094e350abcbd1ff966b7585cb48b134fe8e15917bc9dd3ebc"},
+    {"SELECT * FROM onchain.donate, offchain.projectinfo ON donate.project "
+     "= projectinfo.project",
+     AccessPath::kAuto, JoinStrategy::kLayeredMerge,
+     "OnOffJoin(onchain.donate.project = offchain.projectinfo.project) "
+     "strategy=layered-merge",
+     "741431ebc32e582f2e7ec3762041931daa2c1e5f5417f9d54467e6b9457e3673"},
+    {"SELECT * FROM offchain.projectinfo, onchain.donate ON "
+     "projectinfo.project = donate.project",
+     AccessPath::kAuto, JoinStrategy::kLayeredMerge,
+     "OnOffJoin(onchain.donate.project = offchain.projectinfo.project) "
+     "strategy=layered-merge",
+     "e96cc22a01913522df2fc4838ec14a6c4ded2142657950f8248ba8e37885116c"},
+};
+
+std::string RowsDigest(const std::vector<std::string>& rendered) {
+  std::string all;
+  for (const auto& line : rendered) all += line + "\n";
+  return Sha256::Digest(Slice(all)).ToHex();
+}
+
+const char* PathName(AccessPath path) {
+  switch (path) {
+    case AccessPath::kScan:
+      return "AccessPath::kScan";
+    case AccessPath::kBitmap:
+      return "AccessPath::kBitmap";
+    case AccessPath::kLayered:
+      return "AccessPath::kLayered";
+    default:
+      return "AccessPath::kAuto";
+  }
+}
+
+const char* JoinName(JoinStrategy join) {
+  switch (join) {
+    case JoinStrategy::kScanHash:
+      return "JoinStrategy::kScanHash";
+    case JoinStrategy::kBitmapHash:
+      return "JoinStrategy::kBitmapHash";
+    case JoinStrategy::kLayeredMerge:
+      return "JoinStrategy::kLayeredMerge";
+    default:
+      return "JoinStrategy::kAuto";
+  }
+}
+
 TEST_F(ParallelEquivalenceTest, QueriesMatchSerialByteForByte) {
   struct Query {
     std::string sql;
@@ -213,30 +444,43 @@ TEST_F(ParallelEquivalenceTest, QueriesMatchSerialByteForByte) {
   std::vector<Query> queries;
   for (AccessPath path :
        {AccessPath::kScan, AccessPath::kBitmap, AccessPath::kLayered}) {
-    queries.push_back(
-        {"SELECT * FROM donate WHERE amount BETWEEN 100 AND 320", path});
-    queries.push_back({"TRACE OPERATOR = 'donor2'", path});
-    queries.push_back({"TRACE OPERATION = 'transfer'", path});
-    queries.push_back(
-        {"TRACE OPERATOR = 'donor1', OPERATION = 'donate'", path});
+    for (const char* sql : {
+             "SELECT * FROM donate WHERE amount BETWEEN 100 AND 320",
+             "SELECT * FROM donate WHERE amount BETWEEN 100 AND 320 "
+             "WINDOW [600, 1800]",
+             "SELECT count(*), sum(amount) FROM donate WHERE amount BETWEEN "
+             "50 AND 400 GROUP BY project ORDER BY project DESC LIMIT 3",
+             "TRACE OPERATOR = 'donor2'",
+             "TRACE [600, 1800] OPERATOR = 'donor2'",
+             "TRACE OPERATION = 'transfer'",
+             "TRACE OPERATOR = 'donor1', OPERATION = 'donate'",
+         }) {
+      queries.push_back({sql, path});
+    }
   }
   for (JoinStrategy join : {JoinStrategy::kScanHash, JoinStrategy::kBitmapHash,
                             JoinStrategy::kLayeredMerge}) {
-    Query q;
-    q.sql =
-        "SELECT * FROM donate, transfer ON donate.project = transfer.project "
-        "WHERE donate.amount < 60";
-    q.join = join;
-    queries.push_back(q);
-    Query offq;
-    offq.sql =
-        "SELECT * FROM onchain.donate, offchain.projectinfo ON "
-        "donate.project = projectinfo.project";
-    offq.join = join;
-    queries.push_back(offq);
+    for (const char* sql : {
+             "SELECT * FROM donate, transfer ON donate.project = "
+             "transfer.project WHERE donate.amount < 60",
+             "SELECT * FROM donate, transfer ON donate.project = "
+             "transfer.project WHERE donate.amount < 60 WINDOW [600, 1800]",
+             "SELECT * FROM donate, transfer ON donate.amount = "
+             "transfer.amount",
+             "SELECT * FROM onchain.donate, offchain.projectinfo ON "
+             "donate.project = projectinfo.project",
+             "SELECT * FROM offchain.projectinfo, onchain.donate ON "
+             "projectinfo.project = donate.project",
+         }) {
+      Query q;
+      q.sql = sql;
+      q.join = join;
+      queries.push_back(q);
+    }
   }
 
   ThreadPool pool1(1), pool4(4);
+  std::string missing;  // pinned-table lines for unpinned pairs
   for (const auto& q : queries) {
     ExecOptions options;
     options.access_path = q.path;
@@ -245,6 +489,7 @@ TEST_F(ParallelEquivalenceTest, QueriesMatchSerialByteForByte) {
     executor_->set_pool(nullptr);
     ResultSet serial;
     ASSERT_TRUE(executor_->ExecuteSql(q.sql, options, &serial).ok()) << q.sql;
+    EXPECT_FALSE(serial.rows.empty()) << q.sql;
 
     for (ThreadPool* pool : {&pool1, &pool4}) {
       executor_->set_pool(pool);
@@ -257,7 +502,23 @@ TEST_F(ParallelEquivalenceTest, QueriesMatchSerialByteForByte) {
           << q.sql << " with " << pool->num_threads() << " threads";
     }
     executor_->set_pool(nullptr);
+
+    const std::string digest = RowsDigest(Rendered(serial));
+    const PinnedQuery* pinned = nullptr;
+    for (const auto& p : kPinnedQueries) {
+      if (q.sql == p.sql && q.path == p.path && q.join == p.join) pinned = &p;
+    }
+    if (pinned == nullptr) {
+      missing += "    {\"" + q.sql + "\",\n     " + PathName(q.path) + ", " +
+                 JoinName(q.join) + ",\n     \"" + serial.plan + "\",\n     \"" +
+                 digest + "\"},\n";
+      continue;
+    }
+    EXPECT_EQ(serial.plan, pinned->plan) << q.sql;
+    EXPECT_EQ(digest, pinned->rows_sha256)
+        << q.sql << " path=" << PathName(q.path) << " join=" << JoinName(q.join);
   }
+  EXPECT_TRUE(missing.empty()) << "unpinned queries:\n" << missing;
 }
 
 // ---------------------------------------------------------------------------
