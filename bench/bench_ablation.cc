@@ -114,11 +114,11 @@ void HistogramAblation(int scale) {
 
 void MbTreeAblation() {
   ReportHeader("A2", "VO size and verification time vs MB-tree fanout");
-  std::vector<MbTree::Entry> entries;
+  SortedRecordSource records;
   for (int i = 0; i < 10000; i++) {
-    entries.push_back({Value::Int(i),
-                       "rec" + std::to_string(i) + std::string(280, 'x')});
+    records.Add(Value::Int(i), "rec" + std::to_string(i) + std::string(280, 'x'));
   }
+  const std::vector<MbTree::Entry> entries = records.Entries();
   auto key_fn = [](const Slice& record, Value* key) -> Status {
     std::string text = record.ToString();
     size_t pad = text.find('x');
@@ -128,11 +128,10 @@ void MbTreeAblation() {
   for (size_t fanout : {4, 8, 16, 64, 256}) {
     MbTree::Options options;
     options.fanout = fanout;
-    auto copy = entries;
-    auto tree = MbTree::Build(std::move(copy), options);
+    auto tree = MbTree::Build(entries, options);
     Value lo = Value::Int(5000), hi = Value::Int(5099);
     VerificationObject vo;
-    if (!tree->ProveRange(&lo, &hi, &vo).ok()) abort();
+    if (!tree->ProveRange(records, &lo, &hi, &vo).ok()) abort();
 
     WallTimer timer;
     for (int i = 0; i < 50; i++) {

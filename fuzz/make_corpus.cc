@@ -176,25 +176,25 @@ void SqlSeeds(const std::string& dir) {
 }
 
 void VoSeeds(const std::string& dir) {
-  std::vector<MbTree::Entry> entries;
+  SortedRecordSource records;
   for (int i = 0; i < 40; i++) {
     std::string record;
     Value::Int(i * 10).EncodeTo(&record);  // key prefix, as KeyOfRecord expects
     record += "payload-" + std::to_string(i);
-    entries.push_back(MbTree::Entry{Value::Int(i * 10), record});
+    records.Add(Value::Int(i * 10), std::move(record));
   }
-  auto tree = MbTree::Build(std::move(entries));
+  auto tree = MbTree::Build(records.Entries());
   {
     VerificationObject vo;
     Value lo = Value::Int(100), hi = Value::Int(200);
-    if (!tree->ProveRange(&lo, &hi, &vo).ok()) exit(2);
+    if (!tree->ProveRange(records, &lo, &hi, &vo).ok()) exit(2);
     std::string bytes;
     vo.EncodeTo(&bytes);
     WriteFile(dir, "vo_mid_range", bytes);
   }
   {
     VerificationObject vo;
-    if (!tree->ProveRange(nullptr, nullptr, &vo).ok()) exit(2);
+    if (!tree->ProveRange(records, nullptr, nullptr, &vo).ok()) exit(2);
     std::string bytes;
     vo.EncodeTo(&bytes);
     WriteFile(dir, "vo_full_range", bytes);
@@ -202,7 +202,7 @@ void VoSeeds(const std::string& dir) {
   {
     VerificationObject vo;
     Value lo = Value::Int(1), hi = Value::Int(2);  // empty range
-    if (!tree->ProveRange(&lo, &hi, &vo).ok()) exit(2);
+    if (!tree->ProveRange(records, &lo, &hi, &vo).ok()) exit(2);
     std::string bytes;
     vo.EncodeTo(&bytes);
     WriteFile(dir, "vo_empty_range", bytes);

@@ -85,7 +85,13 @@ class LayeredIndex {
                ColumnExtractor extractor)
       : name_(std::move(name)),
         options_(options),
-        extractor_(std::move(extractor)) {}
+        extractor_(std::move(extractor)),
+        materialized_(
+            options.materialized_cache_bytes > 0
+                ? std::make_unique<
+                      LruCache<uint64_t, const SecondLevelTree>>(
+                      options.materialized_cache_bytes)
+                : nullptr) {}
 
   const std::string& name() const { return name_; }
   const LayeredIndexOptions& options() const { return options_; }
@@ -210,9 +216,9 @@ class LayeredIndex {
   std::vector<std::shared_ptr<SecondLevelTree>> block_trees_;
 
   // Frozen trees materialized back into memory for merge joins, keyed by
-  // block id, charged by decoded bytes. Lazily created; nullptr when
-  // materialized_cache_bytes == 0.
-  mutable std::unique_ptr<LruCache<uint64_t, const SecondLevelTree>>
+  // block id, charged by decoded bytes. Created with the index (concurrent
+  // readers share it); nullptr when materialized_cache_bytes == 0.
+  const std::unique_ptr<LruCache<uint64_t, const SecondLevelTree>>
       materialized_;
 
   uint64_t num_blocks_ = 0;

@@ -577,9 +577,19 @@ Status Executor::ExecOnOffJoin(const SelectStmt& stmt,
         std::shared_ptr<const LayeredIndex::SecondLevelTree> tree;
         Status ts = on_index->Tree(bid, &tree);
         if (!ts.ok()) return ts;
-        if (tree == nullptr) return Status::OK();
+        if (tree == nullptr || !tree->Begin().Valid()) return Status::OK();
+        // Off-chain rows below the block's smallest key cannot match: the
+        // walk starts at that key, not at row 0, so a block costs a binary
+        // search plus its own merge rather than a pass over every row.
+        const Value& first_key = tree->Begin().key();
+        const size_t start =
+            std::lower_bound(off_sorted.begin(), off_sorted.end(), first_key,
+                             [&](const OffchainRow& row, const Value& key) {
+                               return row[off_idx].CompareTotal(key) < 0;
+                             }) -
+            off_sorted.begin();
         return MergeEqualKeyRuns(
-            tree->Begin(), SortedRowsCursor{off_sorted, off_idx},
+            tree->Begin(), SortedRowsCursor{off_sorted, off_idx, start},
             [&](const std::vector<uint32_t>& on_pos,
                 const std::vector<size_t>& off_run) -> Status {
               return ReadTxns(

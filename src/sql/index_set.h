@@ -96,7 +96,7 @@ class IndexSet {
   ///
   /// Execute phase: waves run in order; within a wave every transaction's
   /// footprint — one extracted value per layered/ALI target plus the
-  /// encoded record and its SHA-256 (the MB-tree leaf) — is computed on the
+  /// SHA-256 of its encoding (the MB-tree leaf) — is computed on the
   /// pool into a private per-transaction delta slot. Transactions in one
   /// wave are conflict-free by construction, so any interleaving is safe.
   ///

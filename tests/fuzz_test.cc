@@ -148,18 +148,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RangeFuzzTest,
 
 // ---- MB-tree fuzz ----
 
-std::vector<MbTree::Entry> RandomEntries(Random* rng, int n) {
-  std::vector<MbTree::Entry> entries;
+/// `n` random keys in [0, 200), sorted; record i is "rec:<key>:<i>".
+SortedRecordSource RandomRecords(Random* rng, int n, std::vector<int64_t>* keys) {
+  std::vector<std::pair<int64_t, int>> drawn;
   for (int i = 0; i < n; i++) {
-    int64_t key = static_cast<int64_t>(rng->Uniform(200));
-    entries.push_back({Value::Int(key), "rec:" + std::to_string(key) + ":" +
-                                            std::to_string(i)});
+    drawn.emplace_back(static_cast<int64_t>(rng->Uniform(200)), i);
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const MbTree::Entry& a, const MbTree::Entry& b) {
-              return a.key.CompareTotal(b.key) < 0;
-            });
-  return entries;
+  std::stable_sort(drawn.begin(), drawn.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  SortedRecordSource records;
+  for (const auto& [key, i] : drawn) {
+    records.Add(Value::Int(key),
+                "rec:" + std::to_string(key) + ":" + std::to_string(i));
+    keys->push_back(key);
+  }
+  return records;
 }
 
 Status FuzzKeyFn(const Slice& record, Value* key) {
@@ -186,19 +189,19 @@ class MbTreeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MbTreeFuzzTest, RandomRangesAlwaysVerifyExactly) {
   Random rng(GetParam());
-  auto entries = RandomEntries(&rng, 1 + static_cast<int>(rng.Uniform(400)));
   std::vector<int64_t> keys;
-  for (const auto& entry : entries) keys.push_back(entry.key.AsInt());
+  const SortedRecordSource source =
+      RandomRecords(&rng, 1 + static_cast<int>(rng.Uniform(400)), &keys);
   MbTree::Options options;
   options.fanout = 2 + rng.Uniform(20);
-  auto tree = MbTree::Build(std::move(entries), options);
+  auto tree = MbTree::Build(source.Entries(), options);
 
   for (int q = 0; q < 40; q++) {
     int64_t lo = static_cast<int64_t>(rng.Uniform(220)) - 10;
     int64_t hi = lo + static_cast<int64_t>(rng.Uniform(80));
     Value vlo = Value::Int(lo), vhi = Value::Int(hi);
     VerificationObject vo;
-    ASSERT_TRUE(tree->ProveRange(&vlo, &vhi, &vo).ok());
+    ASSERT_TRUE(tree->ProveRange(source, &vlo, &vhi, &vo).ok());
     std::vector<std::string> records;
     ASSERT_TRUE(MbTree::VerifyRange(tree->root_hash(), vo, &vlo, &vhi,
                                     FuzzKeyFn, &records)
@@ -214,10 +217,9 @@ TEST_P(MbTreeFuzzTest, RandomRangesAlwaysVerifyExactly) {
 
 TEST_P(MbTreeFuzzTest, RandomMutationsNeverForgeResults) {
   Random rng(GetParam() * 101 + 13);
-  auto entries = RandomEntries(&rng, 200);
   std::vector<int64_t> keys;
-  for (const auto& entry : entries) keys.push_back(entry.key.AsInt());
-  auto tree = MbTree::Build(std::move(entries));
+  const SortedRecordSource source = RandomRecords(&rng, 200, &keys);
+  auto tree = MbTree::Build(source.Entries());
 
   int rejected = 0, unchanged = 0;
   for (int trial = 0; trial < 60; trial++) {
@@ -225,7 +227,7 @@ TEST_P(MbTreeFuzzTest, RandomMutationsNeverForgeResults) {
     int64_t hi = lo + static_cast<int64_t>(rng.Uniform(50));
     Value vlo = Value::Int(lo), vhi = Value::Int(hi);
     VerificationObject vo;
-    ASSERT_TRUE(tree->ProveRange(&vlo, &vhi, &vo).ok());
+    ASSERT_TRUE(tree->ProveRange(source, &vlo, &vhi, &vo).ok());
 
     // Random single-byte mutation of the serialized VO.
     std::string encoded;
