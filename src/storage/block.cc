@@ -122,6 +122,14 @@ Status Block::DecodeFrom(Slice* input, Block* out) {
 
 Status Block::DecodeOneTransaction(const Slice& record, uint32_t index,
                                    Transaction* out) {
+  Slice txn_slice;
+  Status s = TransactionBytes(record, index, &txn_slice);
+  if (!s.ok()) return s;
+  return Transaction::DecodeFrom(&txn_slice, out);
+}
+
+Status Block::TransactionBytes(const Slice& record, uint32_t index,
+                               Slice* out) {
   Slice input = record;
   uint32_t header_len;
   if (!GetFixed32(&input, &header_len) || input.size() < header_len) {
@@ -134,12 +142,20 @@ Status Block::DecodeOneTransaction(const Slice& record, uint32_t index,
   if (input.size() < static_cast<size_t>(n) * 4) {
     return Status::Corruption("truncated block offset table");
   }
-  uint32_t off = DecodeFixed32(input.data() + static_cast<size_t>(index) * 4);
+  const char* offsets = input.data();
   Slice body(input.data() + static_cast<size_t>(n) * 4,
              input.size() - static_cast<size_t>(n) * 4);
-  if (off > body.size()) return Status::Corruption("bad transaction offset");
-  Slice txn_slice(body.data() + off, body.size() - off);
-  return Transaction::DecodeFrom(&txn_slice, out);
+  const uint32_t start =
+      DecodeFixed32(offsets + static_cast<size_t>(index) * 4);
+  const size_t end =
+      index + 1 < n
+          ? DecodeFixed32(offsets + static_cast<size_t>(index + 1) * 4)
+          : body.size();
+  if (start > end || end > body.size()) {
+    return Status::Corruption("bad transaction offset");
+  }
+  *out = Slice(body.data() + start, end - start);
+  return Status::OK();
 }
 
 Status Block::DecodeHeader(const Slice& record, BlockHeader* out) {

@@ -67,6 +67,11 @@ class Block {
   /// without materializing the others.
   static Status DecodeOneTransaction(const Slice& record, uint32_t index,
                                      Transaction* out);
+  /// The encoded bytes of transaction `index` in a serialized block record
+  /// (a view into `record`; Transaction::EncodeTo's output), found through
+  /// the offset table without decoding anything.
+  static Status TransactionBytes(const Slice& record, uint32_t index,
+                                 Slice* out);
   /// Decodes only the header from a serialized block record.
   static Status DecodeHeader(const Slice& record, BlockHeader* out);
 

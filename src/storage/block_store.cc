@@ -502,6 +502,11 @@ Status BlockStore::ReadBlock(BlockId height,
       return Status::OK();
     }
   }
+  return ReadAndCacheBlock(height, out);
+}
+
+Status BlockStore::ReadAndCacheBlock(BlockId height,
+                                     std::shared_ptr<const Block>* out) {
   Location loc;
   {
     MutexLock lock(&mu_);
@@ -524,6 +529,40 @@ Status BlockStore::ReadBlock(BlockId height,
     block_cache_->Insert(height, block, block->ByteSize());
   }
   *out = std::move(block);
+  return Status::OK();
+}
+
+Status BlockStore::ReadBlockOrRecord(BlockId height,
+                                     std::shared_ptr<const Block>* decoded,
+                                     std::string* record) {
+  *decoded = nullptr;
+  if (block_cache_ != nullptr) {
+    if (auto cached = block_cache_->Lookup(height)) {
+      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      *decoded = std::move(cached);
+      return Status::OK();
+    }
+  }
+  Location loc;
+  {
+    MutexLock lock(&mu_);
+    if (height >= locations_.size()) {
+      return Status::NotFound("no block at height " + std::to_string(height));
+    }
+    loc = locations_[height];
+  }
+  // While the cache has room, decode the block into it once: later reads
+  // hit. A full cache is left alone: a prove walks every candidate block,
+  // and evicting for it would cycle a chain longer than the cache through
+  // it, decoding every block on every prove.
+  if (block_cache_ != nullptr &&
+      block_cache_->stats().usage + loc.length <= block_cache_->capacity()) {
+    return ReadAndCacheBlock(height, decoded);
+  }
+  Status s = ReadAt(loc.segment, loc.offset, loc.length, record);
+  if (!s.ok()) return s;
+  stats_.blocks_read.fetch_add(1, std::memory_order_relaxed);
+  stats_.bytes_read.fetch_add(record->size(), std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -163,6 +163,17 @@ class BlockStore {
   /// when enabled.
   Status ReadBlock(BlockId height, std::shared_ptr<const Block>* out);
 
+  /// Reads a block for a caller that touches only a few of its
+  /// transactions: the decoded block when the block cache holds it or has
+  /// room for it (a miss then decodes and caches it, like ReadBlock), else
+  /// the serialized record (Block::EncodeTo), neither decoded nor
+  /// CRC-checked, with *decoded null. Only for callers that authenticate the
+  /// bytes they use: the ALI checks every record a prove serves against its
+  /// MB-tree's leaf hash. A full block cache is not disturbed.
+  Status ReadBlockOrRecord(BlockId height,
+                           std::shared_ptr<const Block>* decoded,
+                           std::string* record);
+
   /// Batched sequential read of blocks [first, first + count): frames that
   /// are consecutive on disk are fetched with one large pread (readahead)
   /// instead of one pread per block. Serves from / fills the block cache.
@@ -221,6 +232,10 @@ class BlockStore {
                           const std::vector<std::string>& segments)
       REQUIRES(mu_);
   Status AppendPayload(const Slice& payload) REQUIRES(mu_);
+  /// ReadBlock's miss path: reads, CRC-checks and decodes the block and
+  /// inserts it into the block cache (when enabled).
+  Status ReadAndCacheBlock(BlockId height, std::shared_ptr<const Block>* out)
+      EXCLUDES(mu_);
   Status ReadPayload(const Location& loc, std::string* out) const
       EXCLUDES(mu_);
   Status ReadAt(uint32_t segment, uint64_t offset, size_t n,

@@ -253,6 +253,49 @@ TEST(BlockStoreTest, BlockCacheServesRepeatReads) {
   EXPECT_GT(store.stats().cache_hits.load(), 0u);
 }
 
+// ReadBlockOrRecord: a block-cache miss decodes and caches the block while
+// the cache has room, and reads the raw record (each transaction's bytes
+// reachable through the offset table) when it has none.
+TEST(BlockStoreTest, BlockOrRecordFillsOnlyACacheWithRoom) {
+  Block block = MakeBlock(0, Hash256{}, 1, 5);
+  std::string expected;
+  block.EncodeTo(&expected);
+  for (uint64_t cache_bytes : {uint64_t{10} << 20, uint64_t{0}, uint64_t{1}}) {
+    ScratchDir dir("store_block_or_record");
+    BlockStoreOptions options;
+    options.block_cache_bytes = cache_bytes;
+    BlockStore store;
+    ASSERT_TRUE(store.Open(options, dir.path()).ok());
+    ASSERT_TRUE(store.Append(block).ok());
+
+    std::shared_ptr<const Block> decoded;
+    std::string record;
+    ASSERT_TRUE(store.ReadBlockOrRecord(0, &decoded, &record).ok());
+    const uint64_t disk_reads = store.stats().blocks_read.load();
+    EXPECT_EQ(disk_reads, 1u);
+    if (cache_bytes > 1) {
+      ASSERT_NE(decoded, nullptr);
+      EXPECT_EQ(decoded->header(), block.header());
+      ASSERT_TRUE(store.ReadBlockOrRecord(0, &decoded, &record).ok());
+      EXPECT_NE(decoded, nullptr);
+      EXPECT_EQ(store.stats().blocks_read.load(), disk_reads);  // cache hit
+      continue;
+    }
+    EXPECT_EQ(decoded, nullptr) << cache_bytes;
+    EXPECT_EQ(record, expected);
+    for (uint32_t i = 0; i < 5; i++) {
+      Slice bytes;
+      ASSERT_TRUE(Block::TransactionBytes(record, i, &bytes).ok());
+      std::string encoded;
+      block.transactions()[i].EncodeTo(&encoded);
+      EXPECT_EQ(bytes.ToString(), encoded) << i;
+    }
+    Slice bytes;
+    EXPECT_FALSE(Block::TransactionBytes(record, 5, &bytes).ok());
+    EXPECT_TRUE(store.ReadBlockOrRecord(1, &decoded, &record).IsNotFound());
+  }
+}
+
 TEST(BlockStoreTest, TransactionCacheServesRepeatReads) {
   ScratchDir dir("store_txn_cache");
   BlockStoreOptions options;
